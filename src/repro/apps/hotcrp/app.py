@@ -113,13 +113,6 @@ class HotCRPApp:
                        paperId=paper_id, contactId=contact_id)
         return paper_id
 
-    def add_conflict(self, paper_id: int, email: str) -> None:
-        _process, session = self.session_for(email)
-        session.insert("PaperConflicts",
-                       declassifying=(contact_tag_name(
-                           self.contact_of(email)),),
-                       paperId=paper_id, contactId=self.contact_of(email))
-
     # ------------------------------------------------------------------
     # reviews
     # ------------------------------------------------------------------

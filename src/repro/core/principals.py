@@ -42,7 +42,7 @@ class PrincipalRegistry:
             return self._principals[principal_id]
         except KeyError:
             raise UnknownPrincipalError(
-                "no principal with id %d" % principal_id) from None
+                "no principal with id %r" % (principal_id,)) from None
 
     def lookup(self, name: str) -> Principal:
         try:

@@ -49,6 +49,12 @@ class IFCProcess:
     def __init__(self, authority: AuthorityState, principal: int,
                  label: Label = EMPTY_LABEL,
                  integrity_label: Label = EMPTY_LABEL):
+        if not isinstance(principal, int):
+            raise TypeError(
+                "IFCProcess principal must be a principal id (int), not "
+                "%s%s" % (type(principal).__name__,
+                          "; pass its .id" if hasattr(principal, "id")
+                          else ""))
         self.authority = authority
         authority.principals.get(principal)     # validate
         self._principal = principal
@@ -110,10 +116,6 @@ class IFCProcess:
         self._label = self._label.with_tag(tag_id)
         self._bump()
 
-    def add_secrecy_label(self, label: Label) -> None:
-        for tag_id in label:
-            self.add_secrecy(tag_id)
-
     def declassify(self, tag_id: int) -> None:
         """Remove ``tag_id`` (or a compound's members) from the label.
 
@@ -127,10 +129,6 @@ class IFCProcess:
         if new_label != self._label:
             self._label = new_label
             self._bump()
-
-    def declassify_all(self, tag_ids: Iterable[int]) -> None:
-        for tag_id in tag_ids:
-            self.declassify(tag_id)
 
     def set_label(self, label: Label) -> None:
         """Replace the label, checking each direction tag-by-tag.

@@ -218,10 +218,3 @@ class Catalog:
                      timing: str) -> List[TriggerDef]:
         return [t for t in self._triggers_by_table.get(table, ())
                 if event in t.events and t.timing == timing]
-
-    def drop_trigger(self, name: str) -> None:
-        trigger = self.triggers.pop(name, None)
-        if trigger is None:
-            raise CatalogError("trigger %r does not exist" % name)
-        self._triggers_by_table[trigger.table].remove(trigger)
-        self._bump()

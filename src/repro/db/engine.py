@@ -138,9 +138,9 @@ class Database:
         self.work_mem = max(0, int(work_mem))
         # Parallel worker-pool size: ``None`` defers to the
         # ``REPRO_WORKERS`` environment variable (CI runs a tier-1 job
-        # at 2), then serial (0).  The planner inserts Gather exchange
-        # operators above parallel-safe subtrees and hands the pool to
-        # spilling joins/aggregates; 0 and 1 both mean serial.
+        # at 2), then serial (0).  The planner hands the pool to hash
+        # joins and aggregates, whose spilled grace partitions fan out
+        # to forked workers; 0 and 1 both mean serial.
         if workers is None:
             workers = int(os.environ.get("REPRO_WORKERS", "0") or 0)
         self.workers = max(0, int(workers))

@@ -142,10 +142,6 @@ class OrderedIndex:
                     break
             yield tid
 
-    def scan_all(self) -> Iterator[int]:
-        for _key, tid in self._entries:
-            yield tid
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -537,23 +537,13 @@ class Optimizer:
         Naive mode pins serial execution — the reference executor of
         the differential harness must stay a single-process per-tuple
         ground truth — and platforms without ``fork`` cannot run the
-        gang at all, so the planner never inserts exchange operators
-        it could not honour.
+        gang at all, so the planner never hands out a worker pool it
+        could not honour.
         """
         if self.naive or requested < 2:
             return 0
         from .parallel import FORK_AVAILABLE
         return requested if FORK_AVAILABLE else 0
-
-    def gather_workers(self, requested: int, row_estimate: float,
-                       min_rows: int) -> int:
-        """Cost gate for one exchange operator: forking a gang and
-        shipping rows back costs a few milliseconds, so a scan only
-        parallelizes when its candidate estimate amortizes the fan-out
-        (``min_rows``, from ``REPRO_PARALLEL_MIN_ROWS``)."""
-        if requested < 2 or row_estimate < min_rows:
-            return 0
-        return requested
 
     def exec_batch_size(self, requested: int) -> int:
         """Execution batch size for plans this optimizer produces.

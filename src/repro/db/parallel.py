@@ -1,19 +1,14 @@
 """Fork-based worker gang: the process pool behind parallel execution.
 
-The execution layer parallelizes two shapes of work (see
-ARCHITECTURE.md, "Parallel execution"):
-
-* **partitioned scans** — the :class:`~repro.db.physical.Gather`
-  exchange operator splits a full heap scan into contiguous
-  batch-aligned chunk ranges and runs the scan subtree once per range;
-* **grace partitions** — a spilled hash join or hash aggregate hands
-  disjoint spill partitions to the gang, one contiguous partition
-  range per worker.
+The engine parallelizes one shape of work (see ARCHITECTURE.md,
+"Parallel execution"): a spilled hash join or hash aggregate hands its
+key-disjoint grace partitions to the gang, one contiguous partition
+range per worker.
 
 Workers are **forked**, never spawned: a child inherits the parent's
 address space — the catalog, the MVCC version arrays, the interned
 label table and the memoized ``covers``/``strip`` tables — at the
-instant the gather starts, so nothing about the plan or the data needs
+instant the gang starts, so nothing about the plan or the data needs
 to be pickled or rebuilt.  The statement's snapshot is immutable for
 its whole lifetime, which is exactly what makes a copy-on-write clone
 of the heap a correct execution substrate.
@@ -28,12 +23,12 @@ and every downstream identity-keyed memo keeps working.
 copy-on-write copy — the parent is unaffected), does its slice of the
 work, and ships its final ``REGISTRY.snapshot()`` as a pure delta with
 the end-of-stream sentinel.  The parent merges every delta through
-``REGISTRY.merge()``, which lands on the gathering statement's own
+``REGISTRY.merge()``, which lands on the calling statement's own
 thread-local counters — so the per-statement bracket sees exactly the
 sum of serial-equivalent work, with zero slack.
 
 **Ordering.**  Ranges are contiguous and workers drain in worker
-order, so the gathered row stream is exactly the serial row order.
+order, so the merged row stream is exactly the serial row order.
 
 **Error parity.**  A worker exception is pickled and re-raised in the
 parent (falling back to :class:`WorkerError` for unpicklable ones), so
@@ -54,12 +49,6 @@ from .spill import decode_labeled_row, encode_labeled_row
 #: Rows per pipe message: large enough to amortize a pickle round-trip,
 #: small enough to keep the parent/worker pipeline streaming.
 CHUNK_ROWS = 256
-
-#: Plan-time cost floor for the exchange operator: forking a gang and
-#: shipping rows costs a few milliseconds, so the optimizer only
-#: parallelizes scans whose estimated candidate count clears this bar
-#: (``REPRO_PARALLEL_MIN_ROWS`` overrides; tests set it low).
-DEFAULT_MIN_ROWS = 2048
 
 
 def fork_available() -> bool:
@@ -83,9 +72,9 @@ class WorkerError(RuntimeError):
 def split_ranges(start: int, stop: int,
                  workers: int) -> List[Tuple[int, int]]:
     """Split ``[start, stop)`` into up to ``workers`` contiguous,
-    near-even, non-empty ranges — the unit assignment for both chunked
-    scans and spill partitions.  Contiguity is what makes gather order
-    equal serial order."""
+    near-even, non-empty ranges — the unit assignment for spill
+    partitions.  Contiguity is what makes merged order equal serial
+    order."""
     total = stop - start
     if total <= 0 or workers <= 0:
         return []

@@ -303,7 +303,7 @@ class ExecContext:
 
     __slots__ = ("session", "params", "outer_stack", "read_label",
                  "read_ilabel", "principal", "registry", "authority",
-                 "ifc_enabled", "work_mem", "scan_range")
+                 "ifc_enabled", "work_mem")
 
     def __init__(self, session, params: tuple, read_label: Label,
                  read_ilabel: Label, principal: Optional[int]):
@@ -321,11 +321,6 @@ class ExecContext:
         #: current ``work_mem`` — spilling is a runtime overflow
         #: reaction, not a plan property (the optimizer only *costs* it).
         self.work_mem = getattr(session.db, "work_mem", 0) or 0
-        #: Set inside a forked parallel worker: the half-open *chunk*
-        #: range ``(lo, hi)`` this worker's full scans must cover (see
-        #: ``Table.all_versions_batched``).  Also the "am I a worker?"
-        #: flag that keeps a worker from forking a nested gang.
-        self.scan_range: Optional[Tuple[int, int]] = None
 
     def now(self) -> float:
         return self.session.db.clock()
@@ -531,10 +526,7 @@ class Scan(Plan):
         if type(self)._candidates is Scan._candidates:
             # Full heap scan: let the table slice its version array
             # directly instead of chunking a per-version generator.
-            # Inside a parallel worker, take only this worker's
-            # contiguous chunk range — same boundaries as serial.
-            return self.table.all_versions_batched(
-                size, part=ctx.scan_range)
+            return self.table.all_versions_batched(size)
         return _chunked(self._candidates(ctx), size)
 
     def _check_predicate(self, predicate, version, label, ctx) -> bool:
@@ -1129,97 +1121,6 @@ class IndexLoopJoin(Plan):
                 yield lvalues + pad, llabel, lilabel
 
 
-class Gather(Plan):
-    """Exchange operator: run the child scan subtree on ``workers``
-    forked processes and merge their row streams.
-
-    The planner inserts this directly above a full heap scan it proved
-    **parallel-safe** (plain ``Scan`` access path, label-memo-only
-    predicate work, no declassifying views, no subqueries — see
-    ``Planner._parallelize``) and whose estimated candidate count
-    clears the optimizer's fan-out cost gate.  At execution time the
-    coordinator reads the heap length once, tiles the chunk domain
-    into contiguous ranges (``parallel.split_ranges``), and forks one
-    worker per range; each worker runs the *same* child subtree with
-    ``ctx.scan_range`` pinned to its range.  Chunk boundaries are
-    identical to the serial scan's, so the per-batch label memos — and
-    therefore the ``covers``/``strip`` counter totals merged back from
-    the workers — are plan-determined, not worker-count-determined.
-    Draining workers in range order makes the gathered stream exactly
-    the serial row order.
-
-    Degrades to a transparent pass-through whenever parallelism cannot
-    help or cannot run: row-at-a-time (naive) execution, a missing
-    ``fork``, a single-range heap, or already being inside a worker
-    (no nested gangs).
-    """
-
-    def __init__(self, child: Plan, workers: int):
-        self.child = child
-        self.workers = workers
-
-    def _base_scan(self) -> "Scan":
-        """The heap scan at the bottom of the gathered subtree (walks
-        through EXPLAIN ANALYZE's probe wrappers via ``inner``)."""
-        node = self.child
-        while not isinstance(node, Scan):
-            inner = getattr(node, "inner", None)
-            node = inner if inner is not None else node.child
-        return node
-
-    def _gang(self, ctx):
-        """Fork the gang; returns the merged row iterator, or None when
-        the heap splits into fewer than two ranges."""
-        from . import parallel
-        size = self.batch_size
-        nchunks = -(-self._base_scan().table.physical_slots // size)
-        ranges = parallel.split_ranges(0, nchunks, self.workers)
-        if len(ranges) < 2:
-            return None
-        child = self.child
-
-        def make(rng):
-            def task():
-                ctx.scan_range = rng      # the child's COW copy only
-                for batch in child.batches(ctx):
-                    yield from zip(batch.values, batch.labels,
-                                   batch.ilabels)
-            return task
-        return parallel.run_gang([make(rng) for rng in ranges])
-
-    def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        yield from self.child.rows(ctx)
-
-    def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        from . import parallel
-        gang = None
-        if (self.workers >= 2 and parallel.FORK_AVAILABLE
-                and ctx.scan_range is None):
-            gang = self._gang(ctx)
-        if gang is None:
-            yield from self.child.batches(ctx)
-            return
-        size = self.batch_size
-        values: list = []
-        labels: list = []
-        ilabels: list = []
-        for v, label, ilabel in gang:
-            values.append(v)
-            labels.append(label)
-            ilabels.append(ilabel)
-            if len(values) >= size:
-                yield RowBatch(values, labels, ilabels)
-                values, labels, ilabels = [], [], []
-        if values:
-            yield RowBatch(values, labels, ilabels)
-
-
 class HashJoin(Plan):
     """Equi-join: hash the right side, probe with left rows.
 
@@ -1241,7 +1142,7 @@ class HashJoin(Plan):
     #: Worker-pool size for the spilled partition phase (set by the
     #: planner from ``Database(workers=…)``; 0/1 = serial).  Grace
     #: partitions are key-disjoint, so each worker joins a contiguous
-    #: partition range independently; gathering in range order keeps
+    #: partition range independently; draining in range order keeps
     #: the serial output order.
     workers: int = 0
 
@@ -1340,8 +1241,8 @@ class HashJoin(Plan):
     def _spilled_rows(self, ctx, spill):
         """Partition phase: join every spooled probe row.
 
-        With ``workers`` configured (and not already inside a worker),
-        the key-disjoint partitions fan out to a forked gang — each
+        With ``workers`` configured, the key-disjoint partitions fan
+        out to a forked gang — each
         child inherits the spool descriptors, reads only its range,
         and ships joined rows back through the labeled-row codec.
         """
@@ -1351,8 +1252,7 @@ class HashJoin(Plan):
             spill.partitions[0].close()
             start = 1
         total = len(spill.partitions)
-        if self.workers >= 2 and total - start >= 2 \
-                and ctx.scan_range is None:
+        if self.workers >= 2 and total - start >= 2:
             from . import parallel
             if parallel.FORK_AVAILABLE:
                 ranges = parallel.split_ranges(start, total,
@@ -1635,8 +1535,7 @@ class AggregateNode(Plan):
         re-spills stay inside their worker)."""
         total = len(spill.spools)
         if depth == 0 and self.workers >= 2 \
-                and sum(1 for s in spill.spools if s.count) >= 2 \
-                and ctx.scan_range is None:
+                and sum(1 for s in spill.spools if s.count) >= 2:
             from . import parallel
             if parallel.FORK_AVAILABLE:
                 ranges = parallel.split_ranges(0, total, self.workers)
@@ -2194,9 +2093,8 @@ def _explain_line(plan: Plan) -> str:
     # Memory estimates for materializing operators: expected grace
     # partitions (0 omitted — the build fits work_mem) and the peak
     # resident bytes (per-partition share when spilling).
-    # Parallel fan-out: the Gather exchange operator always carries
-    # it; joins/aggregates advertise the pool their grace-partition
-    # phase would use if they spill.
+    # Parallel fan-out: joins/aggregates advertise the pool their
+    # grace-partition phase would use if they spill.
     workers = getattr(plan, "workers", 0)
     if workers >= 2:
         line += "  workers=%d" % workers

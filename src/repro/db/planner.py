@@ -20,7 +20,6 @@ layer that reads tuples, below every optimization decision.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.labels import EMPTY_LABEL
@@ -50,7 +49,6 @@ from .physical import (
     ExecContext,
     ExecRow,
     Filter,
-    Gather,
     HashJoin,
     IndexLoopJoin,
     IndexRangeScan,
@@ -66,6 +64,7 @@ from .physical import (
     Sort,
     TopN,
     ViewPlan,
+    _children,
     explain_plan,
     stamp_batch_size,
 )
@@ -73,7 +72,7 @@ from .spill import estimated_tuple_bytes
 
 __all__ = [
     "AggregateNode", "AggSpec", "DeterministicOrder", "Distinct",
-    "ExecContext", "ExecRow", "Filter", "Gather", "HashJoin",
+    "ExecContext", "ExecRow", "Filter", "HashJoin",
     "IndexLoopJoin", "IndexRangeScan", "IndexScan", "Limit",
     "NestedLoopJoin", "Plan", "Planner", "PreparedDML",
     "PreparedSelect", "Project", "Scan", "SingleRow", "Sort", "TopN",
@@ -100,18 +99,9 @@ class Planner:
         #: optimizer pins it to 0 (row-at-a-time) in naive mode so the
         #: differential harness's reference executor stays per-tuple.
         self.batch_size = self.optimizer.exec_batch_size(batch_size)
-        #: Worker-pool size for parallel-safe subtrees (0 = serial;
-        #: naive mode and fork-less platforms pin 0).
+        #: Worker-pool size for spilled hash joins and aggregates (0 =
+        #: serial; naive mode and fork-less platforms pin 0).
         self.workers = self.optimizer.exec_workers(workers)
-        #: Fan-out cost floor, overridable for tests and small rigs.
-        try:
-            self.parallel_min_rows = int(
-                os.environ.get("REPRO_PARALLEL_MIN_ROWS", "") or 0)
-        except ValueError:
-            self.parallel_min_rows = 0
-        if self.parallel_min_rows <= 0:
-            from .parallel import DEFAULT_MIN_ROWS
-            self.parallel_min_rows = DEFAULT_MIN_ROWS
 
     # -- public entry points ----------------------------------------------
     def plan_select(self, select: ast.Select,
@@ -129,57 +119,19 @@ class Planner:
         prepared = self._lower(query)
         if batched:
             if self.workers >= 2:
-                prepared.plan = self._parallelize(prepared.plan)
+                self._hand_out_workers(prepared.plan)
             stamp_batch_size(prepared.plan, self.batch_size)
         return prepared
 
-    # -- parallel exchange insertion --------------------------------------
-    #: Child pointers the parallelizer rewires (the physical tree's
-    #: full child-attribute vocabulary).
-    _PARALLEL_CHILD_ATTRS = ("child", "left", "right", "inner")
-
-    def _parallel_safe_scan(self, scan: Scan) -> bool:
-        """Proof obligations for running a scan subtree in a forked
-        worker (see ARCHITECTURE.md, "Parallel execution"):
-
-        * plain full heap scan (``type is Scan``) — the only access
-          path with a partitionable chunk domain;
-        * predicate, if any, reads real columns only
-          (``predicate_on_values``) — in particular no subqueries, so
-          no nested statement execution inside a worker;
-        * no declassifying views: their authority re-validation and
-          audit-trail records must happen in the coordinator process
-          (a worker's audit rows would die with it).
-
-        Everything below the check is read-only against the MVCC
-        snapshot and the label rules' memo tables, both of which a
-        forked child inherits copy-on-write.
-        """
-        return ((scan.predicate is None or scan.predicate_on_values)
-                and not scan.view_grants
-                and not scan.declass)
-
-    def _parallelize(self, plan: Plan) -> Plan:
-        """Bottom-up exchange insertion: wrap parallel-safe full scans
-        whose candidate estimate clears the fan-out cost gate in a
-        :class:`Gather`, and hand the worker pool to hash joins and
-        aggregates for their grace-partition phases."""
-        for attr in self._PARALLEL_CHILD_ATTRS:
-            child = getattr(plan, attr, None)
-            if isinstance(child, Plan):
-                setattr(plan, attr, self._parallelize(child))
+    def _hand_out_workers(self, plan: Plan) -> None:
+        """Give the worker pool to every hash join and aggregate: when
+        one spills, its key-disjoint grace partitions fan out to a
+        forked gang (see ARCHITECTURE.md, "Parallel execution").
+        Everything else runs serially in the calling process."""
         if isinstance(plan, (HashJoin, AggregateNode)):
             plan.workers = self.workers
-        if type(plan) is Scan and self._parallel_safe_scan(plan):
-            workers = self.optimizer.gather_workers(
-                self.workers, plan.table.approx_rows,
-                self.parallel_min_rows)
-            if workers:
-                gather = Gather(plan, workers)
-                gather.est_rows = plan.est_rows
-                gather.est_cost = plan.est_cost
-                return gather
-        return plan
+        for child in _children(plan):
+            self._hand_out_workers(child)
 
     def plan_dml(self, statement) -> PreparedDML:
         """Plan an UPDATE/DELETE through the same three layers as SELECT.

@@ -132,9 +132,7 @@ class Table:
             if version is not None:
                 yield version
 
-    def all_versions_batched(self, size: int,
-                             part: Optional[Tuple[int, int]] = None,
-                             ) -> Iterator[List[TupleVersion]]:
+    def all_versions_batched(self, size: int) -> Iterator[List[TupleVersion]]:
         """Live heap versions in lists of up to ``size``.
 
         The batch granularity of the vectorized scan: slicing the
@@ -143,30 +141,8 @@ class Table:
         generator, which is the point of batch-at-a-time execution.
         The loop re-reads ``len()`` so versions appended mid-scan are
         still reached, matching :meth:`all_versions` semantics.
-
-        ``part`` restricts the scan to the half-open **chunk** range
-        ``[lo, hi)`` — chunk ``k`` is exactly ``versions[k*size :
-        (k+1)*size]``, the same boundaries the unpartitioned scan
-        uses.  This is how a parallel worker takes its contiguous
-        slice of the heap: identical chunk boundaries mean the
-        per-batch label memos (and therefore the ``covers`` counter
-        totals) are independent of how many workers split the scan.
-        The coordinator computes the chunk ranges from a single
-        ``len()`` read before forking, so the ranges tile the heap
-        with no gap or overlap.
         """
         versions = self._versions
-        if part is not None:
-            lo, hi = part
-            start = lo * size
-            stop = hi * size
-            while start < stop:
-                chunk = [v for v in versions[start:start + size]
-                         if v is not None]
-                start += size
-                if chunk:
-                    yield chunk
-            return
         start = 0
         while start < len(versions):
             chunk = [v for v in versions[start:start + size]
@@ -197,12 +173,6 @@ class Table:
     @property
     def version_count(self) -> int:
         return sum(1 for v in self._versions if v is not None)
-
-    @property
-    def physical_slots(self) -> int:
-        """Physical length of the version array, vacuumed holes
-        included — the chunk domain a partitioned scan tiles."""
-        return len(self._versions)
 
     @property
     def approx_rows(self) -> int:

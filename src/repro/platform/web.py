@@ -78,11 +78,6 @@ class WebApp:
             return handler
         return register
 
-    def add_route(self, path: str, handler: Callable, *,
-                  authenticate: bool = True) -> None:
-        self._routes[path] = handler
-        self._route_requires_auth[path] = authenticate
-
     # -- authentication -----------------------------------------------------
     def login(self, username: str, password: str) -> str:
         """Authenticate and mint a session token (login.php analogue)."""
@@ -94,9 +89,6 @@ class WebApp:
         token = secrets.token_hex(16)
         self._sessions[token] = (username, principal)
         return token
-
-    def logout(self, token: str) -> None:
-        self._sessions.pop(token, None)
 
     # -- request lifecycle -----------------------------------------------
     def handle(self, request: Request) -> Response:

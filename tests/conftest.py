@@ -20,6 +20,29 @@ def _reset_metrics():
 
 
 @pytest.fixture
+def gang_log(monkeypatch):
+    """Record every forked worker gang as ``[task count, exception
+    type or None]``.  Spilled joins and aggregates reach the gang
+    through ``parallel.run_gang``, so wrapping the module attribute
+    sees every fork."""
+    from repro.db import parallel
+    real = parallel.run_gang
+    gangs: list = []
+
+    def logged(tasks):
+        entry = [len(tasks), None]
+        gangs.append(entry)
+        try:
+            yield from real(tasks)
+        except Exception as exc:
+            entry[1] = type(exc)
+            raise
+
+    monkeypatch.setattr(parallel, "run_gang", logged)
+    return gangs
+
+
+@pytest.fixture
 def metrics_scope():
     """Factory for per-block counter deltas:
 

@@ -35,6 +35,13 @@ class TestOwnership:
         with pytest.raises(UnknownPrincipalError):
             authority.create_tag("x", owner=424242)
 
+    def test_process_rejects_principal_object(self, authority):
+        alice = authority.create_principal("alice")
+        with pytest.raises(TypeError, match=r"principal .*not Principal"):
+            IFCProcess(authority, alice)
+        with pytest.raises(UnknownPrincipalError, match="424242"):
+            IFCProcess(authority, 424242)
+
 
 class TestDelegation:
     def test_delegate_grants_authority(self, world):

@@ -363,7 +363,7 @@ def _plan_shapes(db) -> set:
 def _run_differential(seed: int, n_statements: int,
                       batch_size=None, work_mem=None,
                       require_spill: bool = False,
-                      workers=None) -> None:
+                      workers=None, gangs=None) -> None:
     tag = "[REPRO_DIFF_SEED=%d]" % seed
     rng = random.Random(seed)
     gen = StatementGenerator(rng)
@@ -400,14 +400,11 @@ def _run_differential(seed: int, n_statements: int,
     # never have strayed from full scans.
     assert optimized_shapes & {IndexScan, IndexRangeScan}, optimized_shapes
     assert reference_shapes <= {Scan}, reference_shapes
-    # The workers legs must genuinely have planned parallel scans, or
-    # the matrix quietly degraded to serial-vs-naive and proved
-    # nothing about the gang.
-    if workers and workers >= 2:
-        plan = optimized.sessions["public"].execute(
-            "EXPLAIN SELECT * FROM readings")
-        assert any("Gather" in row[0] for row in plan), \
-            "%s workers=%d planned no Gather" % (tag, workers)
+    # The workers legs must genuinely have forked spilled-partition
+    # gangs, or the matrix quietly degraded to serial-vs-naive and
+    # proved nothing about the gang.
+    if gangs is not None:
+        assert gangs, "%s workers=%d forked no gang" % (tag, workers)
     # Under a tight budget the run must actually have exercised the
     # grace-spill machinery — hash joins, external sorts, AND grace
     # aggregation/distinct — or the work_mem matrix proves nothing.
@@ -445,28 +442,26 @@ def test_differential_batch_size_two():
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-def test_differential_workers(workers, monkeypatch):
+def test_differential_workers(workers, gang_log):
     """The parallel-execution matrix leg: the same adversarial stream
-    with multi-core scans and per-partition join/aggregate gangs
-    enabled.  ``batch_size=32`` keeps the ~250-row tables wide enough
-    (several chunks) that the Gather really forks rather than
-    degrading to pass-through, and the low ``REPRO_PARALLEL_MIN_ROWS``
-    floor lets the optimizer parallelize test-sized tables.  Workers
-    may move label checks and suppression decisions into child
-    processes; rows, labels, rowcounts, and error types must still
-    match the naive serial reference statement-for-statement."""
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "32")
-    _run_differential(SEED ^ 0x70C5 ^ workers, 150,
-                      batch_size=32, workers=workers)
+    under a 1KB budget, serially and with the spilled hash joins and
+    aggregates fanning their grace partitions out to a forked gang.
+    Workers move partition joins, folds and their spill counters into
+    child processes; rows, labels, rowcounts, and error types must
+    still match the naive serial reference statement-for-statement,
+    and the ``workers=2`` leg must really have forked."""
+    _run_differential(SEED ^ 0x70C5 ^ workers, 150, batch_size=32,
+                      work_mem=1024, workers=workers,
+                      gangs=gang_log if workers else None)
 
 
-def test_differential_workers_spilled(monkeypatch):
-    """Parallel grace partitions under a tight budget: spilled hash
-    joins and aggregates fan their partitions out to the gang while
-    the naive reference replays everything serially in memory."""
-    monkeypatch.setenv("REPRO_PARALLEL_MIN_ROWS", "32")
+def test_differential_workers_spilled(gang_log):
+    """Three workers, so grace partitions split into uneven ranges,
+    on a stream that must exercise every spilling operator while the
+    naive reference replays everything serially in memory."""
     _run_differential(SEED ^ 0x70C5 ^ 0x53A1, 120, batch_size=32,
-                      work_mem=1024, workers=2, require_spill=True)
+                      work_mem=1024, workers=3, require_spill=True,
+                      gangs=gang_log)
 
 
 @pytest.mark.parametrize("work_mem,batch_size", [
