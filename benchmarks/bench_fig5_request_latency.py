@@ -32,6 +32,31 @@ PAPER_MS = {
 }
 
 
+def visible_calls_per_request(stack, path: str, requests: int) -> float:
+    """Mean MVCC ``visible()`` checks one request to ``path`` makes.
+
+    A count, not a timing: the engine's per-tuple MVCC work, which
+    grows with the dead versions every index probe has to re-check."""
+    import random
+    manager = stack.db.txn_manager
+    real = manager.visible
+    calls = 0
+
+    def counted(version, txn):
+        nonlocal calls
+        calls += 1
+        return real(version, txn)
+
+    rng = random.Random(5)
+    manager.visible = counted
+    try:
+        for _ in range(requests):
+            stack.web.handle(stack.request(rng, path))
+    finally:
+        del manager.visible
+    return calls / requests
+
+
 @pytest.fixture(scope="module")
 def stacks():
     measurements = smoke(900, 120)
@@ -69,6 +94,7 @@ def test_fig5_report(benchmark, stacks):
     weights = dict(REQUEST_MIX)
     repeats = smoke(60, 8)
     per_script = {}
+    visible_calls = {}
     for path in SCRIPTS:
         # Interleaved, median-of-60 comparisons: the handlers run in
         # tens of microseconds, where scheduler noise swamps means.
@@ -84,6 +110,9 @@ def test_fig5_report(benchmark, stacks):
         table.add(path, paper_base, paper_ifdb, "%.3f" % base_ms,
                   "%.3f" % ifdb_ms, relative(ifdb_ms, base_ms))
         per_script[path] = {"base": base_ms, "ifdb": ifdb_ms}
+        visible_calls[path] = {
+            name: visible_calls_per_request(stack, path, repeats)
+            for name, stack in (("base", base), ("ifdb", ifdb))}
         weighted_base += weights[path] * base_ms
         weighted_ifdb += weights[path] * ifdb_ms
     table.add("weighted mean", "", "(paper: +24%)",
@@ -95,6 +124,11 @@ def test_fig5_report(benchmark, stacks):
         "weighted_mean_ms": {"base": weighted_base, "ifdb": weighted_ifdb},
         "overhead": (weighted_ifdb / weighted_base - 1.0)
         if weighted_base else None,
+        "visible_calls_per_request": visible_calls,
+        "weighted_visible_calls_per_request": {
+            name: sum(weights[path] * visible_calls[path][name]
+                      for path in SCRIPTS)
+            for name in ("base", "ifdb")},
     })
     # Shape assertions: IFDB costs more overall (skipped in smoke mode,
     # where the handful of repeats is pure noise).

@@ -116,7 +116,7 @@ def check_unique(db, session, table: Table, values: Tuple, label: Label,
         key = index.key_of(values)
         if any(k is None for k in key):       # SQL: NULLs never conflict
             continue
-        for version in table.versions_for_tids(index.lookup(key)):
+        for version in table.probe(index, key, txn_manager):
             if version.tid == exclude_tid:
                 continue
             table.touch(version)
@@ -147,7 +147,7 @@ def _parent_candidates(db, session, fk: ForeignKeyConstraint,
     txn_manager = db.txn_manager
     candidates = []
     if index is not None:
-        versions = parent.versions_for_tids(index.lookup(key))
+        versions = parent.probe(index, key, txn_manager)
     else:
         positions = parent.schema.positions_of(fk.ref_columns)
         versions = (v for v in parent.all_versions()
@@ -241,7 +241,7 @@ def check_fk_restrict(db, session, table: Table, old_values: Tuple) -> None:
         key = tuple(old_values[p] for p in parent_positions)
         index = child.find_index(fk.columns)
         if index is not None:
-            versions = child.versions_for_tids(index.lookup(key))
+            versions = child.probe(index, key, txn_manager)
         else:
             child_positions = child.schema.positions_of(fk.columns)
             versions = (v for v in child.all_versions()

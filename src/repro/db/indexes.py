@@ -1,12 +1,21 @@
 """Secondary indexes: hash (equality) and ordered (range) indexes.
 
-Indexes map key values to tuple ids; they contain entries for *all*
-versions, and lookups filter by MVCC visibility and by label afterwards —
-exactly how the paper's prototype reuses PostgreSQL's indexes, which
-"already had to be prepared to deal with multiple versions" (section 7.1).
-This is also why polyinstantiation needed no special support: a unique
-index may legitimately hold several live tids for one key, distinguished
-only by label.
+Indexes map key values to tuple ids; they hold entries for every version
+a snapshot may still need, and lookups filter by MVCC visibility and by
+label afterwards — exactly how the paper's prototype reuses PostgreSQL's
+indexes, which "already had to be prepared to deal with multiple
+versions" (section 7.1).  This is also why polyinstantiation needed no
+special support: a unique index may legitimately hold several live tids
+for one key, distinguished only by label.
+
+Like PostgreSQL's index-entry killing, an equality probe
+(:meth:`repro.db.storage.Table.probe`) drops the entries of versions it
+finds dead to every snapshot, so a row rewritten many times does not
+make each later probe re-check its whole dead chain.  Pruning is
+copy-on-write (:meth:`HashIndex.prune`, :meth:`OrderedIndex.prune`): a
+probe or range scan still iterating the old tid list is unaffected.  The
+heap versions themselves stay until VACUUM, which is also what removes
+entries no probe happened to visit.
 
 The paper notes (section 7.1) that IFDB does *not* provide label-inverted
 indexes; neither do we, and scans filter labels tuple-by-tuple.
@@ -24,7 +33,9 @@ class IndexCounters(CounterGroup):
     """Process-wide index-probe counters (diff before/after, like
     ``rules.COUNTERS``).  ``lookups`` counts equality probes
     (:meth:`HashIndex.lookup` / :meth:`OrderedIndex.lookup`),
-    ``range_scans`` ordered-range scans.  The batched
+    ``range_scans`` ordered-range scans, ``entries_pruned`` the index
+    entries a probe dropped because their versions were dead to every
+    snapshot (:meth:`repro.db.storage.Table.probe`).  The batched
     ``IndexLoopJoin`` dedupes duplicate outer keys to one probe per
     distinct key per batch; the join microbenchmark diffs these
     counters to prove it.  Registered as the ``index`` group of the
@@ -33,7 +44,7 @@ class IndexCounters(CounterGroup):
     Accumulates per thread (:class:`~repro.core.counters.CounterGroup`);
     ``snapshot()`` sums across threads."""
 
-    FIELDS = ("lookups", "range_scans")
+    FIELDS = ("lookups", "range_scans", "entries_pruned")
 
 
 #: The module-wide counter instance (see :class:`IndexCounters`).
@@ -64,8 +75,23 @@ class HashIndex:
         COUNTERS.lookups += 1
         return self._map.get(key, [])
 
+    def prune(self, key: Tuple, dead) -> None:
+        """Drop the tids in the set ``dead`` from ``key``'s entry.
+
+        Copy-on-write: the key gets a new list, so a probe still
+        iterating the old one sees it unchanged."""
+        tids = self._map.get(key)
+        if not tids:
+            return
+        kept = [tid for tid in tids if tid not in dead]
+        COUNTERS.entries_pruned += len(tids) - len(kept)
+        if kept:
+            self._map[key] = kept
+        else:
+            del self._map[key]
+
     def remove(self, values: Tuple, tid: int) -> None:
-        """Physically drop an entry (vacuum only; MVCC never needs this)."""
+        """Physically drop an entry (vacuum only)."""
         tids = self._map.get(self.key_of(values))
         if tids and tid in tids:
             tids.remove(tid)
@@ -111,6 +137,27 @@ class OrderedIndex:
         key covers every indexed column)."""
         COUNTERS.lookups += 1
         return list(self.scan_prefix(key))
+
+    def prune(self, prefix: Tuple, dead) -> None:
+        """Drop the entries whose key starts with ``prefix`` and whose
+        tid is in the set ``dead``.
+
+        Copy-on-write: the index gets a new entry list, so a range scan
+        still walking the old one sees it unchanged."""
+        entries = self._entries
+        lo = bisect.bisect_left(entries, (prefix,))
+        hi = lo
+        width = len(prefix)
+        while hi < len(entries) and entries[hi][0][:width] == prefix:
+            hi += 1
+        kept = [entry for entry in entries[lo:hi] if entry[1] not in dead]
+        if len(kept) == hi - lo:
+            return
+        COUNTERS.entries_pruned += hi - lo - len(kept)
+        pruned = entries[:lo]
+        pruned += kept
+        pruned += entries[hi:]
+        self._entries = pruned
 
     def scan_prefix(self, prefix: Tuple) -> Iterator[int]:
         """Tids whose key starts with ``prefix``, in key order."""

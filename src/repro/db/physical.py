@@ -744,7 +744,8 @@ class IndexScan(Scan):
         key = tuple(fn([], ctx) for fn in self.key_fns)
         if any(k is None for k in key):
             return iter(())
-        return self.table.versions_for_tids(self.index.lookup(key))
+        return self.table.probe(self.index, key,
+                                ctx.session.db.txn_manager)
 
 
 class IndexRangeScan(Scan):
@@ -983,7 +984,7 @@ class IndexLoopJoin(Plan):
         declass = self.declass
         check_labels = ctx.ifc_enabled
         matches = []
-        for version in table.versions_for_tids(self.index.lookup(key)):
+        for version in table.probe(self.index, key, txn_manager):
             table.touch(version)
             if not txn_manager.visible(version, txn):
                 continue
@@ -1097,8 +1098,7 @@ class IndexLoopJoin(Plan):
             key = tuple(fn(probe, ctx) for fn in key_fns)
             matched = False
             if not any(k is None for k in key):
-                for version in table.versions_for_tids(
-                        self.index.lookup(key)):
+                for version in table.probe(self.index, key, txn_manager):
                     table.touch(version)
                     if not txn_manager.visible(version, txn):
                         continue

@@ -170,6 +170,30 @@ class Table:
             if version is not None:
                 yield version
 
+    def probe(self, index, key: Tuple, txn_manager) -> List[TupleVersion]:
+        """The versions an equality probe of ``index`` finds for ``key``,
+        minus those dead to all snapshots.
+
+        The dead ones also leave the index (one copy-on-write
+        ``index.prune``), so later probes of the key stop re-checking
+        them — PostgreSQL's killing of dead index entries.  Their heap
+        versions stay for VACUUM.  Labels play no part: a pruned
+        version is invisible to every snapshot, so no process's rows or
+        labels change.  The caller still checks visibility and labels
+        on what is returned.
+        """
+        tids = index.lookup(key)
+        if not tids:
+            return []
+        found = list(map(self._versions.__getitem__, tids))
+        dead = txn_manager.dead_versions(found)
+        if dead:
+            gone = {version.tid for version in dead}
+            index.prune(key, gone)
+            found = [version for version in found
+                     if version.tid not in gone]
+        return found
+
     @property
     def version_count(self) -> int:
         return sum(1 for v in self._versions if v is not None)
@@ -188,28 +212,15 @@ class Table:
     # vacuum
     # ------------------------------------------------------------------
     def vacuum(self, txn_manager) -> int:
-        """Physically remove versions invisible to every future snapshot.
+        """Physically remove the versions dead to all snapshots (see
+        :meth:`~repro.db.transactions.TransactionManager.dead_versions`).
 
-        A version is dead when its deleting transaction committed before
-        the oldest active xid, or its creating transaction aborted.  The
-        garbage collector is exempt from label rules (section 7.1).
+        The garbage collector is exempt from label rules (section 7.1).
         """
-        horizon = txn_manager.oldest_active_xid()
-        removed = 0
-        for tid, version in enumerate(self._versions):
-            if version is None:
-                continue
-            dead = False
-            if txn_manager.is_aborted(version.xmin):
-                dead = True
-            elif (version.xmax is not None
-                  and txn_manager.is_committed(version.xmax)
-                  and version.xmax < horizon):
-                dead = True
-            if dead:
-                for index in self.indexes.values():
-                    index.remove(version.values, tid)
-                self._versions[tid] = None
-                self._heap_count -= 1
-                removed += 1
-        return removed
+        dead = txn_manager.dead_versions(self.all_versions())
+        for version in dead:
+            for index in self.indexes.values():
+                index.remove(version.values, version.tid)
+            self._versions[version.tid] = None
+        self._heap_count -= len(dead)
+        return len(dead)

@@ -117,7 +117,7 @@ class TransactionManager:
     def __init__(self):
         self._next_xid = 1
         self._status: Dict[int, str] = {}
-        self._active: Set[int] = set()
+        self._active: Dict[int, Transaction] = {}
         self.commits = 0
         #: Commits whose write set was non-empty.  Replayed transactions
         #: (``db/wal.py`` applies heap effects directly, bypassing
@@ -139,8 +139,9 @@ class TransactionManager:
         self._next_xid += 1
         self._status[xid] = IN_PROGRESS
         snapshot = Snapshot(xmax=xid, in_progress=frozenset(self._active))
-        self._active.add(xid)
-        return Transaction(xid, snapshot, isolation)
+        txn = Transaction(xid, snapshot, isolation)
+        self._active[xid] = txn
+        return txn
 
     def check_commit_label(self, txn: Transaction, commit_label: Label,
                            registry) -> None:
@@ -158,7 +159,7 @@ class TransactionManager:
                                                              txn.status))
         txn.status = COMMITTED
         self._status[txn.xid] = COMMITTED
-        self._active.discard(txn.xid)
+        del self._active[txn.xid]
         self.commits += 1
         if txn.write_set:
             self.write_commits += 1
@@ -169,16 +170,13 @@ class TransactionManager:
                                                              txn.status))
         txn.status = ABORTED
         self._status[txn.xid] = ABORTED
-        self._active.discard(txn.xid)
+        del self._active[txn.xid]
         self._aborted_unreclaimed.add(txn.xid)
         self.aborts += 1
 
     # -- status queries -------------------------------------------------
     def status_of(self, xid: int) -> str:
         return self._status.get(xid, ABORTED)
-
-    def is_committed(self, xid: int) -> bool:
-        return self._status.get(xid) == COMMITTED
 
     def is_aborted(self, xid: int) -> bool:
         return self._status.get(xid, ABORTED) == ABORTED
@@ -219,11 +217,57 @@ class TransactionManager:
         never write again, and new aborts re-enter the set."""
         self._aborted_unreclaimed.clear()
 
-    def oldest_active_xid(self) -> int:
-        """Horizon for vacuum: versions dead before this are reclaimable."""
-        if self._active:
-            return min(self._active)
-        return self._next_xid
+    def snapshot_floor(self) -> int:
+        """The oldest xid some open snapshot may not see as committed.
+
+        The minimum, over active transactions, of the snapshot's
+        ``min_in_progress`` (or the transaction's own xid when nothing
+        was in flight at its BEGIN).  A deletion committed by an xid
+        below the floor is seen by every open snapshot, and by every
+        snapshot taken later.  The oldest active xid alone is not
+        enough: a reader that began while an older writer was running
+        keeps that writer's xid in its ``in_progress`` set after the
+        writer commits, and still reads the versions it superseded.
+        """
+        floor = self._next_xid
+        for txn in self._active.values():
+            low = txn.snapshot.min_in_progress
+            if low is None:
+                low = txn.xid
+            if low < floor:
+                floor = low
+        return floor
+
+    def dead_versions(self, versions) -> list:
+        """The versions in ``versions`` that are dead to all snapshots.
+
+        A version is dead when its creator aborted, or its deleter
+        committed below the :meth:`snapshot_floor`: no open or future
+        snapshot can see it, whatever its label.  This one definition
+        serves both index-probe pruning
+        (:meth:`repro.db.storage.Table.probe`) and VACUUM.  The floor
+        is computed only when a committed deleter is met, so checking
+        versions that nobody deleted costs no extra call.
+
+        Aborted creators are found through the set of aborted xids
+        whose heap versions may still exist: every other aborted xid
+        had its versions reclaimed by a full vacuum (see
+        :meth:`aborted_reclaimed`), so no surviving version names it.
+        """
+        aborted = self._aborted_unreclaimed
+        status = self._status
+        floor = None
+        dead = []
+        for version in versions:
+            xmax = version.xmax
+            if version.xmin in aborted:
+                dead.append(version)
+            elif xmax is not None and status.get(xmax) == COMMITTED:
+                if floor is None:
+                    floor = self.snapshot_floor()
+                if xmax < floor:
+                    dead.append(version)
+        return dead
 
     # -- MVCC visibility -------------------------------------------------
     def visible(self, version, txn: Transaction) -> bool:

@@ -13,7 +13,8 @@ and release checks consult it instead of the raw authority state.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Deque, List, Tuple
 
 from ..core.labels import EMPTY_LABEL, Label
 from ..core.process import IFCProcess
@@ -21,6 +22,11 @@ from ..core.rules import strip
 from ..errors import AuthorityError, ReleaseError
 from .cache import AuthorityCache
 from .connection import IFConnection
+
+#: How many released outputs :attr:`IFRuntime.outbox` keeps: the most
+#: recent ones, so a long-running server's memory does not grow with
+#: the number of requests it has answered.
+OUTBOX_LIMIT = 1024
 
 
 class AppProcess(IFCProcess):
@@ -73,7 +79,8 @@ class AppProcess(IFCProcess):
 
         Raises :class:`ReleaseError` if the process is contaminated above
         the destination's label.  Delivered data lands in the runtime's
-        outbox so tests can observe exactly what escaped.
+        outbox (the last :data:`OUTBOX_LIMIT` sends) so tests can
+        observe exactly what escaped.
         """
         if self.runtime.ifc_enabled and not self.can_release(
                 destination_label):
@@ -107,7 +114,8 @@ class IFRuntime:
         self.authority = authority
         self.ifc_enabled = ifc_enabled
         self.cache = AuthorityCache(authority, enabled=cache_enabled)
-        self.outbox: List[Tuple[AppProcess, object, Label]] = []
+        self.outbox: Deque[Tuple[AppProcess, object, Label]] = deque(
+            maxlen=OUTBOX_LIMIT)
         self.processes_spawned = 0
 
     def spawn(self, principal: int, label: Label = EMPTY_LABEL) -> AppProcess:

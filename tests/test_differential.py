@@ -30,6 +30,16 @@ LEFT JOIN NULL extension — must agree with the naive executor; the
 row-for-row (rows, labels, rowcounts, error types) against both the
 in-memory optimized and the naive execution.
 
+The stream also holds **old snapshots** open across writes and
+VACUUM: every ``SNAPSHOT_EVERY`` statements a reader session begins
+while an update is still in flight, the update commits, the stream
+runs on, VACUUM reclaims what it may, and the reader then repeats its
+index-probed queries.  It must get the answers it got when its
+snapshot opened, and the naive universe's reader must agree.  This
+pins the snapshot floor that bounds both VACUUM and index-entry
+pruning: a version superseded by an xid the reader saw in flight is
+still the reader's to read.
+
 Seeds come from the environment so CI can rotate them
 (``REPRO_DIFF_SEED``; on failure every assertion message carries the
 seed for reproduction).  ``REPRO_DIFF_STATEMENTS`` scales the run.
@@ -43,7 +53,7 @@ import random
 import pytest
 
 from repro.core import AuthorityState, IFCProcess, SeededIdGenerator
-from repro.db import Database
+from repro.db import Database, metrics
 from repro.db.physical import IndexRangeScan, IndexScan, Scan
 from repro.db.spill import SPILL_STATS
 from repro.errors import ReproError
@@ -64,6 +74,22 @@ CREATE TABLE zones (zone INT PRIMARY KEY, region TEXT);
 
 KINDS = ("temp", "gps", "speed", "fuel")
 
+#: A snapshot reader opens every this many statements and is checked
+#: ``SNAPSHOT_HELD`` statements later (see ``SnapshotReader``).
+SNAPSHOT_EVERY = 50
+SNAPSHOT_HELD = 40
+
+#: The reader's queries, all index probes on the optimized side: an
+#: ordered-index prefix scan, a primary-key index-loop self-join driven
+#: by a hash index, and a self-join probing the ordered index.
+READER_QUERIES = (
+    [("SELECT id, ts, kind, value FROM readings WHERE device = ?", (d,))
+     for d in range(10)]
+    + [("SELECT r.id, r2.value FROM readings r JOIN readings r2 "
+        "ON r2.id = r.id WHERE r.kind = ? AND r.device = ?", ("gps", 1)),
+       ("SELECT r.id, r2.id FROM readings r "
+        "JOIN readings r2 ON r2.device = r.device WHERE r.id = ?", (26,))])
+
 
 class Universe:
     """One database plus a public (empty-label) and a secret session.
@@ -81,6 +107,7 @@ class Universe:
                            batch_size=batch_size, work_mem=work_mem,
                            workers=workers)
         owner = authority.create_principal("owner")
+        self.owner = owner.id
         self.tag = authority.create_tag("diff-secret", owner=owner.id)
         secret = IFCProcess(authority, owner.id)
         secret.add_secrecy(self.tag.id)
@@ -101,6 +128,61 @@ class Universe:
                 ((tuple(r), tuple(sorted(r.label))) for r in rows),
                 key=repr)
         return out
+
+
+class SnapshotReader:
+    """A reader whose snapshot sees an update in flight.
+
+    Construction starts a public writer's value-neutral update of one
+    kind of reading, begins the reader (the secret owner, who sees
+    every row) while that update is uncommitted, then commits the
+    update.  The reader's answers at that point are its snapshot's;
+    ``answers`` after any later writes and VACUUM must repeat them
+    exactly.
+    """
+
+    def __init__(self, universe: Universe, kind: str):
+        db = universe.db
+        authority = db.authority
+        owner = universe.owner
+        writer = db.connect(IFCProcess(authority, owner))
+        process = IFCProcess(authority, owner)
+        process.add_secrecy(universe.tag.id)
+        self.session = db.connect(process)
+        writer.execute("BEGIN")
+        writer.execute("UPDATE readings SET kind = kind WHERE kind = ?",
+                       (kind,))
+        self.session.execute("BEGIN")
+        writer.execute("COMMIT")
+
+    def answers(self) -> list:
+        return [sorted(((tuple(r), tuple(sorted(r.label)))
+                        for r in self.session.execute(sql, params).rows),
+                       key=repr)
+                for sql, params in READER_QUERIES]
+
+    def close(self) -> None:
+        self.session.execute("COMMIT")
+
+
+def _open_readers(universes, kind: str, tag: str):
+    readers = [SnapshotReader(universe, kind) for universe in universes]
+    first = [reader.answers() for reader in readers]
+    assert first[0] == first[1], "%s snapshot readers diverged" % tag
+    return readers, first[0]
+
+
+def _check_readers(universes, readers, first, tag: str) -> None:
+    for universe in universes:
+        universe.sessions["public"].execute("VACUUM")
+    with metrics.REGISTRY.scope() as scope:
+        got = readers[0].answers()
+    assert scope["index"]["lookups"] >= len(READER_QUERIES)
+    assert got == first, "%s old snapshot lost rows" % tag
+    assert readers[1].answers() == first, \
+        "%s naive old snapshot lost rows" % tag
+    for reader in readers:
+        reader.close()
 
 
 def run_one(universe: Universe, op: dict):
@@ -378,7 +460,14 @@ def _run_differential(seed: int, n_statements: int,
 
     executed = 0
     optimized_shapes, reference_shapes = set(), set()
+    readers = None
     for i in range(n_statements):
+        if i % SNAPSHOT_EVERY == 0:
+            readers, first = _open_readers(
+                universes, KINDS[i // SNAPSHOT_EVERY % len(KINDS)], tag)
+        elif i % SNAPSHOT_EVERY == SNAPSHOT_HELD:
+            _check_readers(universes, readers, first, tag)
+            readers = None
         op = gen.statement()
         got = run_one(optimized, op)
         want = run_one(reference, op)
@@ -393,6 +482,8 @@ def _run_differential(seed: int, n_statements: int,
         optimized_shapes |= _plan_shapes(optimized.db)
         reference_shapes |= _plan_shapes(reference.db)
         executed += 1
+    if readers is not None:
+        _check_readers(universes, readers, first, tag)
 
     # Sanity: the optimized side must actually have exercised indexed
     # DML plans — otherwise this was full-scan vs full-scan and proved

@@ -55,7 +55,7 @@ def test_registry_snapshot_covers_every_family_field():
     assert set(snap) >= {"labels", "index", "exec", "spill", "stats"}
     assert set(snap["labels"]) == {"covers_calls", "strip_calls",
                                    "rows_suppressed"}
-    assert set(snap["index"]) == {"lookups", "range_scans"}
+    assert set(snap["index"]) == {"lookups", "range_scans", "entries_pruned"}
     assert set(snap["exec"]) == {"columns_materialized", "rows_widened"}
     assert "bytes_spilled" in snap["spill"]
 

@@ -43,6 +43,29 @@ class TestVersionChains:
         reader.execute("COMMIT")
         assert db.vacuum("t") == 1
 
+    def test_vacuum_keeps_versions_a_snapshot_saw_in_progress(self, db):
+        """A reader that began while a writer was still running must
+        keep reading the version that writer superseded, even after the
+        writer commits and VACUUM runs: the reader's snapshot holds the
+        writer's xid as in progress, so the horizon is the snapshot
+        floor, not the oldest active xid."""
+        setup = db.connect()
+        setup.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        setup.execute("INSERT INTO t VALUES (1, 10)")
+        a = db.connect()
+        b = db.connect()
+        a.execute("BEGIN")
+        a.execute("UPDATE t SET v = 11 WHERE id = 1")
+        b.execute("BEGIN")
+        a.execute("COMMIT")
+        assert db.vacuum() == 0
+        assert [row[0] for row in b.query("SELECT v FROM t")] == [10]
+        assert [row[0] for row in b.query(
+            "SELECT v FROM t WHERE id = 1")] == [10]
+        b.execute("COMMIT")
+        assert db.vacuum() == 1
+        assert [row[0] for row in b.query("SELECT v FROM t")] == [11]
+
     def test_aborted_inserts_vacuumed(self, db):
         session = db.connect()
         session.execute("CREATE TABLE t (x INT PRIMARY KEY)")

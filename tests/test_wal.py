@@ -284,9 +284,9 @@ class TestRecovery:
         _ref, db, recovered, _path = self._recovered(authority, wal_ids,
                                                      tmp_path)
         tm = db.txn_manager
-        assert tm.committed_horizon() < tm.oldest_active_xid()
+        assert tm.committed_horizon() < tm.snapshot_floor()
         rtm = recovered.txn_manager
-        assert rtm.committed_horizon() == rtm.oldest_active_xid()
+        assert rtm.committed_horizon() == rtm.snapshot_floor()
         # Vacuuming the recovered database reclaims the update/delete
         # chaff without changing what queries see.
         before = recovered.connect().query(
