@@ -16,7 +16,7 @@ repo root for the artifact upload and the cross-PR perf trail.
 import time
 
 from repro.db import Database
-from repro.db.physical import EXEC_COUNTERS
+from repro.db.physical import DEFAULT_BATCH_SIZE, EXEC_COUNTERS
 from repro.bench import ReportTable, relative
 
 from .common import SMOKE, report, smoke, write_bench_json
@@ -28,7 +28,7 @@ STAR_SQL = "SELECT * FROM wide"
 AGG_SQL = "SELECT b, COUNT(*), SUM(c) FROM wide GROUP BY b"
 
 
-def _stack(batch_size=None):
+def _stack(batch_size):
     db = Database(ifc_enabled=False, seed=21, batch_size=batch_size)
     session = db.connect()
     session.execute("CREATE TABLE wide (a INT PRIMARY KEY, b INT, c INT,"
@@ -64,7 +64,9 @@ def _best_time(session, sql, loops=None) -> float:
 
 
 def test_projection_pushdown_cells_and_timing():
-    _db, session = _stack()
+    # Pinned batched: the cell counts are the batched scan's, whatever
+    # REPRO_BATCH_SIZE the suite runs under.
+    _db, session = _stack(batch_size=DEFAULT_BATCH_SIZE)
     cells = {
         "narrow": _cells(session, NARROW_SQL),
         "star": _cells(session, STAR_SQL),

@@ -63,6 +63,37 @@ from .types import type_by_name
 from . import wal as wal_mod
 
 
+#: Entries each statement cache (parsed statements; SELECT, DML and
+#: INSERT plans) may hold.  The caches are keyed on raw SQL text, so a
+#: workload embedding fresh literals would otherwise grow them forever.
+STATEMENT_CACHE_LIMIT = 512
+
+
+class StatementCache(dict):
+    """A dict capped at :data:`STATEMENT_CACHE_LIMIT` entries.
+
+    Storing a new key into a full cache first evicts the oldest-inserted
+    entry (dicts keep insertion order), counted in ``evictions``.
+    Lookups are plain dict reads, so a hit costs nothing extra.
+    """
+
+    __slots__ = ("evictions",)
+
+    def __init__(self):
+        super().__init__()
+        self.evictions = 0
+
+    def __setitem__(self, key, value):
+        if len(self) >= STATEMENT_CACHE_LIMIT and key not in self:
+            del self[next(iter(self))]
+            self.evictions += 1
+        dict.__setitem__(self, key, value)
+
+    def report(self) -> Dict[str, int]:
+        return {"entries": len(self), "evictions": self.evictions,
+                "limit": STATEMENT_CACHE_LIMIT}
+
+
 class PreparedInsert:
     """A planned INSERT: target positions, defaults, compiled sources.
 
@@ -154,18 +185,19 @@ class Database:
                                batch_size=self.batch_size,
                                work_mem=self.work_mem,
                                workers=self.workers)
-        self._parse_cache: Dict[str, object] = {}
+        self._parse_cache = StatementCache()
         # Prepared-plan caches, keyed by SQL text (or statement identity
         # for programmatic statements); each entry is
         # ``(statement, prepared, table_names)``.  The whole cache is
         # versioned by ``plan_cache_epoch``: any DDL or tag-registry
-        # change clears it, which both invalidates stale plans and
-        # bounds growth.  Statistics refreshes are gentler: they evict
-        # only the entries whose ``table_names`` include the refreshed
-        # table (see ``invalidate_plans_for``).
-        self._select_cache: Dict[object, Tuple] = {}
-        self._dml_cache: Dict[object, Tuple] = {}
-        self._insert_cache: Dict[object, Tuple] = {}
+        # change clears it, which invalidates stale plans.  Statistics
+        # refreshes are gentler: they evict only the entries whose
+        # ``table_names`` include the refreshed table (see
+        # ``invalidate_plans_for``).  Every cache is also capped at
+        # STATEMENT_CACHE_LIMIT entries (oldest-inserted evicted first).
+        self._select_cache = StatementCache()
+        self._dml_cache = StatementCache()
+        self._insert_cache = StatementCache()
         self._plan_epoch: Optional[Tuple[int, int]] = None
         self._stats_probe = 0
         # Activity counters (read by benchmarks and tests).
@@ -861,6 +893,12 @@ class Database:
             "buffer_hit_rate": cache.hit_rate,
             "simulated_io_time": cache.io_time,
             "tables_analyzed": self.stats_manager.analyzed(),
+            "statement_caches": {
+                "parse": self._parse_cache.report(),
+                "select": self._select_cache.report(),
+                "dml": self._dml_cache.report(),
+                "insert": self._insert_cache.report(),
+            },
             "polyinstantiated": {
                 t.name: t.polyinstantiation_count
                 for t in self.catalog.tables.values()

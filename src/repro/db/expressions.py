@@ -941,22 +941,18 @@ def compile_batch(compiler: "ExprCompiler", node: Expr) -> Callable:
 
     The returned function evaluates the expression for every row of a
     :class:`~repro.db.physical.RowBatch` at once, returning one value
-    per row.  The kernels are **column-at-a-time**: leaves pull whole
-    column arrays (``batch.column(i)`` — zero-copy on a columnar batch
-    with no selection) and the common predicate shapes (comparisons,
-    ``AND``, ``IS NULL``) combine those arrays element-wise, so a
-    predicate only ever touches the columns it reads.  Everything else
-    falls back to mapping the ordinary row closure from
+    per row.  Its only consumer is a batched
+    :class:`~repro.db.physical.Project` (the
+    output columns of a batched pipeline).  The kernels are
+    **column-at-a-time**: leaves pull whole column arrays
+    (``batch.column(i)`` — zero-copy on a columnar batch) and
+    comparisons and ``IS NULL`` combine those arrays element-wise, so
+    an output column only touches the columns it reads.  Everything
+    else — ``AND`` included, whose short-circuit contract the row
+    closure already keeps per row — maps the ordinary row closure from
     :meth:`ExprCompiler.compile` over ``batch.values`` (widening the
     batch), so batch compilation can never change semantics — only the
     loop shape.
-
-    ``AND`` keeps the row compiler's short-circuit contract via a
-    selection mask: later conjuncts are evaluated only for rows still
-    alive (not yet FALSE) by selecting the alive sub-batch — columnar
-    batches compose the selection vector without copying column data —
-    so an expression like ``x <> 0 AND 10 / x > 2`` raises for exactly
-    the rows the row-at-a-time executor would have raised for.
     """
     if isinstance(node, Literal):
         value = node.value
@@ -988,30 +984,6 @@ def compile_batch(compiler: "ExprCompiler", node: Expr) -> Callable:
             return [None if lv is None or rv is None else fn(lv, rv)
                     for lv, rv in zip(left(batch, ctx), right(batch, ctx))]
         return compare
-    if isinstance(node, And):
-        parts = [compile_batch(compiler, item) for item in node.items]
-        def conjunction(batch, ctx):
-            n = len(batch)
-            result: list = [True] * n
-            alive = list(range(n))
-            for part in parts:
-                if not alive:
-                    break
-                sub = batch if len(alive) == n else batch.select(alive)
-                vals = part(sub, ctx)
-                survivors = []
-                for j, i in enumerate(alive):
-                    value = vals[j]
-                    if value is None:
-                        result[i] = None
-                        survivors.append(i)    # a later FALSE still wins
-                    elif not value:
-                        result[i] = False
-                    else:
-                        survivors.append(i)
-                alive = survivors
-            return result
-        return conjunction
     row_fn = compiler.compile(node)
     return lambda batch, ctx: [row_fn(row, ctx) for row in batch.values]
 

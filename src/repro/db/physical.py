@@ -9,16 +9,42 @@ confinement — is decided "at the layer that reads and writes tuples in
 tables", so nothing a higher layer does can surface a tuple the process
 may not see.
 
-**Batch-at-a-time execution.**  Operators expose two pull interfaces:
-``rows()`` (one ``(values, label, ilabel)`` triple at a time — the
-original executor, and still the reference semantics) and ``batches()``
-(:class:`RowBatch` objects of ~``batch_size`` rows).  The planner stamps
-``batch_size`` onto every node of an optimized plan; the naive planner
-leaves it at 0, pinning the differential harness's reference executor
-to genuinely per-tuple checks.  Either interface adapts to the other —
-``Plan.batches`` chunks ``rows()``, ``Plan._drain`` flattens
-``batches()`` — so batch-native and row-native operators compose
-freely and cursors (:mod:`repro.db.session`) keep working unchanged.
+**Two pull interfaces, batch-native only where batches run.**  Every
+operator yields rows through ``rows()`` (one ``(values, label,
+ilabel)`` triple at a time — the reference semantics, and what the
+naive planner's plans run).  Only the operators a workload actually
+drives batched also implement a batch-native ``batches()``
+(:class:`RowBatch` objects of ~``batch_size`` rows): the scans
+(:class:`Scan`, :class:`IndexScan`, :class:`IndexRangeScan`),
+:class:`Project`, :class:`HashJoin` and :class:`IndexLoopJoin`.
+Counting calls per operator over the three benchmark workloads
+(``perfbench/``; per operation, full scale) decided the split:
+
+=================  =============================  ==========================
+workload           runs batched                   runs row-at-a-time
+=================  =============================  ==========================
+cartel-web         Scan, Project, Sort            Project, IndexScan,
+                                                  IndexLoopJoin, Sort, TopN,
+                                                  Aggregate
+tpcc-durable       nothing                        IndexScan, Project, TopN,
+                                                  Aggregate, IndexRangeScan,
+                                                  Sort, IndexLoopJoin
+label-analytics    Scan, Project, Aggregate,      Project, IndexScan
+                   IndexScan, HashJoin,
+                   IndexRangeScan, TopN
+=================  =============================  ==========================
+
+Filter, NestedLoopJoin, Limit, Distinct and ViewPlan ran in neither
+mode, and the batched Sort, TopN and Aggregate only re-chunked rows
+they had already produced — so those are row-native: ``rows()`` only.
+:func:`stamp_batch_size` stamps a non-zero ``batch_size`` only on
+batch-native nodes (the naive planner stamps nothing, pinning the
+differential harness's reference executor to per-tuple checks), and a
+row-native operator reads a batched child through :func:`_row_source`.
+``Plan.batches`` chunks ``rows()`` for a batched parent over a
+row-native child, and ``Plan._drain`` flattens ``batches()`` when a
+batched node is asked for rows, so the two kinds compose freely and
+cursors (:mod:`repro.db.session`) pick the root's own interface.
 
 Batching exists because the per-tuple scan cost is dominated by three
 amortizable steps (the paper's Query-by-Label overhead, section 7.1):
@@ -118,12 +144,10 @@ class RowBatch:
     ``labels``/``ilabels`` are always per-row compact lists — label
     checks are tuple-granularity in the paper's model (a tag protects a
     row, not a cell), and the interned label objects already behave as
-    a dictionary-encoded column.
-
-    A columnar batch may additionally carry a **selection vector**
-    (``_sel``): row ``i`` of the batch reads column cells at physical
-    index ``_sel[i]``.  :meth:`select` composes selections instead of
-    copying column data, so Filter never copies surviving rows.
+    a dictionary-encoded column.  A batch never carries a selection
+    vector: the only operators that drop rows inside a batched
+    pipeline are the scans (before materializing) and the joins (which
+    build fresh output batches).
 
     :attr:`values` is a lazy property: on a columnar batch the first
     access widens the batch back to row-major (counted in
@@ -131,12 +155,11 @@ class RowBatch:
     row-native consumer pays the conversion exactly once per batch.
     """
 
-    __slots__ = ("labels", "ilabels", "_rows", "_columns", "_sel")
+    __slots__ = ("labels", "ilabels", "_rows", "_columns")
 
     def __init__(self, values: list, labels: list, ilabels: list):
         self._rows = values
         self._columns = None
-        self._sel = None
         self.labels = labels
         self.ilabels = ilabels
 
@@ -148,7 +171,6 @@ class RowBatch:
         batch = cls.__new__(cls)
         batch._rows = None
         batch._columns = columns
-        batch._sel = None
         batch.labels = labels
         batch.ilabels = ilabels
         return batch
@@ -156,21 +178,12 @@ class RowBatch:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def width(self) -> int:
-        cols = self._columns
-        if cols is not None:
-            return len(cols)
-        rows = self._rows
-        return len(rows[0]) if rows else 0
-
     def column(self, index: int) -> list:
-        """Column ``index`` as a compact list (selection applied).
+        """Column ``index`` as a compact list.
 
         On a row-major batch the extraction is computed once and
-        cached; on a columnar batch with no selection this is the
-        stored array itself, zero-copy.  A projected-away column reads
-        as all-NULL.
+        cached; on a columnar batch this is the stored array itself,
+        zero-copy.  A projected-away column reads as all-NULL.
         """
         cols = self._columns
         if cols is None:
@@ -180,29 +193,11 @@ class RowBatch:
         col = cols[index] if index < len(cols) else None
         if col is None:
             rows = self._rows
-            if rows is None or self._sel is not None:
+            if rows is None:
                 return [None] * len(self.labels)
             col = [row[index] for row in rows]
             cols[index] = col
-            return col
-        sel = self._sel
-        if sel is None:
-            return col
-        return [col[i] for i in sel]
-
-    def columns(self) -> list:
-        """All columns as compact lists; ``None`` marks a column that
-        was projected away (so consumers can keep not materializing
-        it)."""
-        cols = self._columns
-        if cols is None or self._rows is not None:
-            # Row-major (or already widened): extract per column.
-            return [self.column(i) for i in range(self.width)]
-        if self._sel is None:
-            return list(cols)
-        sel = self._sel
-        return [None if col is None else [col[i] for i in sel]
-                for col in cols]
+        return col
 
     @property
     def values(self) -> list:
@@ -215,50 +210,20 @@ class RowBatch:
 
     def _widen(self) -> list:
         cols = self._columns
-        sel = self._sel
         n = len(self.labels)
         EXEC_COUNTERS.rows_widened += n
         if not n:
             return []
-        if sel is None and all(col is not None for col in cols):
+        if all(col is not None for col in cols):
             return [list(row) for row in zip(*cols)]
         width = len(cols)
         rows = [[None] * width for _ in range(n)]
         for j, col in enumerate(cols):
             if col is None:
                 continue
-            if sel is None:
-                for i in range(n):
-                    rows[i][j] = col[i]
-            else:
-                for i, k in enumerate(sel):
-                    rows[i][j] = col[k]
+            for i in range(n):
+                rows[i][j] = col[i]
         return rows
-
-    def select(self, keep) -> "RowBatch":
-        """The sub-batch at row indexes ``keep`` (in order).
-
-        Columnar batches share their column arrays with the parent and
-        only compose the selection vector — this is the no-copy path
-        Filter relies on.  Labels compact eagerly (they are per-row
-        state either way).
-        """
-        labels = self.labels
-        ilabels = self.ilabels
-        out_labels = [labels[i] for i in keep]
-        out_ilabels = [ilabels[i] for i in keep]
-        if self._rows is None:
-            batch = RowBatch.__new__(RowBatch)
-            batch._rows = None
-            batch._columns = self._columns
-            sel = self._sel
-            batch._sel = (list(keep) if sel is None
-                          else [sel[i] for i in keep])
-            batch.labels = out_labels
-            batch.ilabels = out_ilabels
-            return batch
-        rows = self._rows
-        return RowBatch([rows[i] for i in keep], out_labels, out_ilabels)
 
     def rows(self) -> Iterator[ExecRow]:
         return zip(self.values, self.labels, self.ilabels)
@@ -272,16 +237,21 @@ def _unspool_seq(partition):
         yield values[0], key, (values[1:], label, ilabel)
 
 
-def _row_source(child, batch_size: int, ctx) -> Iterator[ExecRow]:
-    """Row view of a child for blocking operators (Sort, Aggregate,
-    Distinct): consume batches when the tree is batched — the whole
-    input is materialized into operator state anyway, so there is
-    nothing to gain from keeping it columnar — else plain rows."""
-    if batch_size:
-        for batch in child.batches(ctx):
-            yield from zip(batch.values, batch.labels, batch.ilabels)
-    else:
-        yield from child.rows(ctx)
+def _row_source(child, ctx) -> Iterator[ExecRow]:
+    """Rows of ``child`` for a row-native parent, keyed on the *child's*
+    stamp: a batched child's batches are flattened here (one generator
+    layer, not ``child.rows()`` → ``_drain`` → ``batches()``), an
+    unbatched child's ``rows()`` is returned as is.  It calls
+    ``child.batches()`` rather than ``child._drain()`` because EXPLAIN
+    ANALYZE's probes wrap only ``rows`` and ``batches``."""
+    if child.batch_size:
+        return _flatten(child.batches(ctx))
+    return child.rows(ctx)
+
+
+def _flatten(batches) -> Iterator[ExecRow]:
+    for batch in batches:
+        yield from zip(batch.values, batch.labels, batch.ilabels)
 
 
 def _chunked(iterator, size: int):
@@ -329,11 +299,12 @@ class ExecContext:
 class Plan:
     """Base class: a pull-based operator producing ExecRows.
 
-    Subclasses implement ``rows()`` (row-at-a-time) and may additionally
-    implement a batch-native ``batches()``.  A node executes batched iff
-    the planner stamped a non-zero ``batch_size`` on it; the two default
-    methods below adapt whichever interface a subclass implements to the
-    other one.
+    Subclasses implement ``rows()`` (row-at-a-time); the batch-native
+    ones (scans, Project, HashJoin, IndexLoopJoin) also implement
+    ``batches()``.  A node executes batched iff the planner stamped a
+    non-zero ``batch_size`` on it, which :func:`stamp_batch_size` only
+    does for batch-native types; the two default methods below adapt
+    either interface to the other.
     """
 
     #: One-line EXPLAIN annotation, attached by the planner at lowering.
@@ -342,8 +313,9 @@ class Plan:
     #: attached by the planner at lowering and rendered by EXPLAIN.
     est_rows: Optional[float] = None
     est_cost: Optional[float] = None
-    #: Rows per batch; 0 pins row-at-a-time execution (naive/reference
-    #: plans).  Stamped tree-wide by the planner at lowering.
+    #: Rows per batch; 0 = row-at-a-time (every row-native operator,
+    #: and every node of a naive/reference plan).  Stamped by
+    #: :func:`stamp_batch_size` at lowering.
     batch_size: int = 0
     #: Estimated peak operator memory in bytes (materializing operators
     #: only — join builds and inner materializations), attached by the
@@ -530,7 +502,7 @@ class Scan(Plan):
         return _chunked(self._candidates(ctx), size)
 
     def _check_predicate(self, predicate, version, label, ctx) -> bool:
-        """Row-shape predicate check used by the batched paths."""
+        """Row-shape predicate check used by the batched scan."""
         if self.predicate_on_values:
             return bool(predicate(version.values, ctx))
         values = list(version.values)
@@ -547,10 +519,10 @@ class Scan(Plan):
         simply unaffected by DML.  The write-rule *equality* check
         (section 4.2) happens in the session on each yielded version.
         DML targets are base tables, never views, so no
-        declassification applies here.  With a non-zero ``batch_size``
-        the enumeration runs batch-at-a-time: page-run touch
-        accounting, the whole-batch MVCC fast path, and one ``covers``
-        per distinct label per batch.
+        declassification applies here.  The enumeration is always
+        row-at-a-time (DML plans are not batch-stamped): the benchmark
+        workloads' DML targets are index probes below
+        :data:`BATCH_MIN_INDEX_ROWS`, where batching cannot amortize.
         """
         session = ctx.session
         txn = session.transaction
@@ -560,27 +532,6 @@ class Scan(Plan):
         registry = ctx.registry
         read_label = ctx.read_label
         check_labels = ctx.ifc_enabled
-        size = self.batch_size
-        if size:
-            for chunk in self._candidate_chunks(ctx, size):
-                _touch_page_runs(table, chunk)
-                live = _visible_versions(chunk, txn, txn_manager)
-                memo: Dict[Label, bool] = {}
-                for version in live:
-                    if check_labels:
-                        label = version.label
-                        ok = memo.get(label)
-                        if ok is None:
-                            ok = covers(registry, label, read_label)
-                            memo[label] = ok
-                        if not ok:
-                            RULE_COUNTERS.rows_suppressed += 1
-                            continue
-                    if predicate is not None and not self._check_predicate(
-                            predicate, version, version.label, ctx):
-                        continue
-                    yield version
-            return
         on_values = self.predicate_on_values
         for version in self._candidates(ctx):
             table.touch(version)
@@ -800,77 +751,38 @@ class IndexRangeScan(Scan):
 
 
 class Filter(Plan):
-    """Residual predicate; ``batch_predicate`` is the batch-compiled
-    form (:func:`repro.db.expressions.compile_batch`) used when the
-    node executes batch-at-a-time."""
+    """Residual predicate the optimizer could not push into a scan
+    (e.g. a subquery conjunct, or one above a join).  Row-native: no
+    benchmark workload runs it, so it has no batch kernel."""
 
-    def __init__(self, child: Plan, predicate: Callable,
-                 batch_predicate: Optional[Callable] = None):
+    def __init__(self, child: Plan, predicate: Callable):
         self.child = child
         self.predicate = predicate
-        self.batch_predicate = batch_predicate
 
     def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
         predicate = self.predicate
-        for values, label, ilabel in self.child.rows(ctx):
+        for values, label, ilabel in _row_source(self.child, ctx):
             if predicate(values, ctx):
                 yield values, label, ilabel
 
-    def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        predicate = self.predicate
-        batch_predicate = self.batch_predicate
-        for batch in self.child.batches(ctx):
-            if batch_predicate is not None:
-                # Column-at-a-time evaluation: touches only the columns
-                # the predicate reads.
-                flags = batch_predicate(batch, ctx)
-            else:
-                flags = [predicate(row, ctx) for row in batch.values]
-            if all(flags):
-                yield batch
-                continue
-            keep = [i for i, flag in enumerate(flags) if flag]
-            if keep:
-                # select() composes the selection vector on columnar
-                # batches: surviving rows are never copied.
-                yield batch.select(keep)
-
 
 class NestedLoopJoin(Plan):
-    """Generic join; materializes the right side once per execution.
-
-    ``batch_on`` is the batch-compiled form of the join predicate
-    (:func:`repro.db.expressions.compile_batch`): in batch mode the
-    predicate is evaluated over the whole materialized inner side per
-    outer row — one closure call instead of one per inner row — which
-    is where a non-equi join spends its time.
-    """
+    """Generic join; materializes the right side once per execution."""
 
     def __init__(self, left: Plan, right: Plan, kind: str,
-                 on: Optional[Callable], right_width: int,
-                 batch_on: Optional[Callable] = None):
+                 on: Optional[Callable], right_width: int):
         self.left = left
         self.right = right
         self.kind = kind
         self.on = on
-        self.batch_on = batch_on
         self.right_width = right_width
 
     def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        right_rows = list(self.right.rows(ctx))
+        right_rows = list(_row_source(self.right, ctx))
         on = self.on
         outer = self.kind == "left"
         pad = [None] * self.right_width
-        for lvalues, llabel, lilabel in self.left.rows(ctx):
+        for lvalues, llabel, lilabel in _row_source(self.left, ctx):
             matched = False
             for rvalues, rlabel, rilabel in right_rows:
                 combined = lvalues + rvalues
@@ -881,56 +793,6 @@ class NestedLoopJoin(Plan):
                        lilabel.union(rilabel))
             if outer and not matched:
                 yield lvalues + pad, llabel, lilabel
-
-    def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        # rows() on the right child adapts whichever interface it
-        # implements, so this materialization matches row mode exactly.
-        right_rows = list(self.right.rows(ctx))
-        on = self.on
-        batch_on = self.batch_on
-        outer = self.kind == "left"
-        pad = [None] * self.right_width
-        size = self.batch_size
-        no_labels = [None] * len(right_rows)
-        out_values: list = []
-        out_labels: list = []
-        out_ilabels: list = []
-        for batch in self.left.batches(ctx):
-            llabels = batch.labels
-            lilabels = batch.ilabels
-            for i, lvalues in enumerate(batch.values):
-                llabel = llabels[i]
-                lilabel = lilabels[i]
-                combined_rows = [lvalues + rvalues
-                                 for rvalues, _rl, _ril in right_rows]
-                if on is None:
-                    flags = None                 # cross join: all match
-                elif batch_on is not None:
-                    flags = batch_on(RowBatch(combined_rows, no_labels,
-                                              no_labels), ctx)
-                else:
-                    flags = [on(row, ctx) for row in combined_rows]
-                matched = False
-                for j, combined in enumerate(combined_rows):
-                    if flags is not None and not flags[j]:
-                        continue
-                    matched = True
-                    _rvalues, rlabel, rilabel = right_rows[j]
-                    out_values.append(combined)
-                    out_labels.append(llabel.union(rlabel))
-                    out_ilabels.append(lilabel.union(rilabel))
-                if outer and not matched:
-                    out_values.append(lvalues + pad)
-                    out_labels.append(llabel)
-                    out_ilabels.append(lilabel)
-                if len(out_values) >= size:
-                    yield RowBatch(out_values, out_labels, out_ilabels)
-                    out_values, out_labels, out_ilabels = [], [], []
-        if out_values:
-            yield RowBatch(out_values, out_labels, out_ilabels)
 
 
 class IndexLoopJoin(Plan):
@@ -947,7 +809,8 @@ class IndexLoopJoin(Plan):
     candidate version per *probe*, not per duplicate outer row, so a
     duplicate-heavy foreign key stops multiplying the per-probe costs.
     Joined rows are emitted in outer-row order, exactly as row mode
-    would have.
+    would have.  Both modes admit inner rows through the one
+    :meth:`_probe` loop (touch, visible, strip/covers).
     """
 
     def __init__(self, left: Plan, table: Table, index,
@@ -975,9 +838,10 @@ class IndexLoopJoin(Plan):
     def _probe(self, ctx, key, txn, txn_manager,
                label_memo: Optional[Dict[Label, bool]]) -> list:
         """One index probe: the visible, label-covered inner rows for
-        ``key``.  ``label_memo`` is the per-batch covers() memo (None
-        under declassification, where each row's emitted label is its
-        stripped label and the global strip/covers memos serve)."""
+        ``key``.  ``label_memo`` is the per-batch covers() memo; None
+        in row mode and under declassification (where each row's
+        emitted label is its stripped label), leaving the global
+        strip/covers memos to serve."""
         table = self.table
         registry = ctx.registry
         read_label = ctx.read_label
@@ -1084,39 +948,24 @@ class IndexLoopJoin(Plan):
         session = ctx.session
         txn = session.transaction
         txn_manager = session.db.txn_manager
-        table = self.table
-        registry = ctx.registry
-        read_label = ctx.read_label
-        declass = self.declass
-        check_labels = ctx.ifc_enabled
         residual = self.residual
         outer = self.kind == "left"
         pad = [None] * self.right_width
         key_fns = self.key_fns
-        for lvalues, llabel, lilabel in self.left.rows(ctx):
-            probe = lvalues + pad
-            key = tuple(fn(probe, ctx) for fn in key_fns)
+        probe = self._probe
+        for lvalues, llabel, lilabel in _row_source(self.left, ctx):
+            probe_row = lvalues + pad
+            key = tuple(fn(probe_row, ctx) for fn in key_fns)
             matched = False
             if not any(k is None for k in key):
-                for version in table.probe(self.index, key, txn_manager):
-                    table.touch(version)
-                    if not txn_manager.visible(version, txn):
-                        continue
-                    label = version.label
-                    if check_labels:
-                        if declass:
-                            label = strip(registry, label, declass)
-                        if not covers(registry, label, read_label):
-                            RULE_COUNTERS.rows_suppressed += 1
-                            continue
-                    rvalues = list(version.values)
-                    rvalues.append(label)
+                for rvalues, rlabel, rilabel in probe(ctx, key, txn,
+                                                      txn_manager, None):
                     combined = lvalues + rvalues
                     if residual is not None and not residual(combined, ctx):
                         continue
                     matched = True
-                    yield (combined, llabel.union(label),
-                           lilabel.union(version.ilabel))
+                    yield (combined, llabel.union(rlabel),
+                           lilabel.union(rilabel))
             if outer and not matched:
                 yield lvalues + pad, llabel, lilabel
 
@@ -1164,9 +1013,8 @@ class HashJoin(Plan):
         Returns ``(buckets, spill)``: ``spill`` is None while the build
         fits in memory, otherwise a
         :class:`~repro.db.spill.SpilledHashBuild` that absorbed every
-        build row (and ``buckets`` is empty).  Batch mode consumes
-        whole batches so the build loop is a flat pass over
-        materialized lists rather than a per-row generator chain.
+        build row (and ``buckets`` is empty).  A batched build side is
+        consumed whole batches at a time (:func:`_row_source`).
         """
         budget = ctx.work_mem
         buckets: Dict[tuple, list] = {}
@@ -1175,16 +1023,8 @@ class HashJoin(Plan):
         right_key_fns = self.right_key_fns
         spill = None
         mem = 0
-        if self.batch_size:
-            def source():
-                for batch in self.right.batches(ctx):
-                    yield from zip(batch.values, batch.labels,
-                                   batch.ilabels)
-        else:
-            def source():
-                return self.right.rows(ctx)
         try:
-            for row in source():
+            for row in _row_source(self.right, ctx):
                 rvalues = row[0]
                 probe = pad_left + rvalues
                 key = tuple(fn(probe, ctx) for fn in right_key_fns)
@@ -1554,24 +1394,12 @@ class AggregateNode(Plan):
         group_fns = self.group_fns
 
         def keyed():
-            for row in _row_source(self.child, self.batch_size, ctx):
+            for row in _row_source(self.child, ctx):
                 yield tuple(fn(row[0], ctx) for fn in group_fns), row
         return self._fold(ctx, keyed(), 0)
 
     def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        yield from self._grouped(ctx)
-
-    def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        for chunk in _chunked(self._grouped(ctx), self.batch_size):
-            yield RowBatch([row[0] for row in chunk],
-                           [row[1] for row in chunk],
-                           [row[2] for row in chunk])
+        return self._grouped(ctx)
 
 
 class Project(Plan):
@@ -1724,7 +1552,7 @@ class Sort(Plan):
         return chunk, mixed
 
     def _input(self, ctx) -> Iterator[ExecRow]:
-        return _row_source(self.child, self.batch_size, ctx)
+        return _row_source(self.child, ctx)
 
     def _sorted(self, ctx, source=None):
         """All input rows in order: one in-memory sort when the input
@@ -1776,15 +1604,6 @@ class Sort(Plan):
 
     def rows(self, ctx):
         return iter(self._result(ctx))
-
-    def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        for chunk in _chunked(self._result(ctx), self.batch_size):
-            yield RowBatch([row[0] for row in chunk],
-                           [row[1] for row in chunk],
-                           [row[2] for row in chunk])
 
 
 class TopN(Sort):
@@ -1916,26 +1735,13 @@ class Distinct(Plan):
 
     def _distinct(self, ctx):
         def keyed():
-            source = _row_source(self.child, self.batch_size, ctx)
-            for seq, row in enumerate(source):
+            for seq, row in enumerate(_row_source(self.child, ctx)):
                 yield seq, tuple(row[0]), row
         for _seq, values, label, ilabel in self._fold(ctx, keyed(), 0):
             yield values, label, ilabel
 
     def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        yield from self._distinct(ctx)
-
-    def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        for chunk in _chunked(self._distinct(ctx), self.batch_size):
-            yield RowBatch([row[0] for row in chunk],
-                           [row[1] for row in chunk],
-                           [row[2] for row in chunk])
+        return self._distinct(ctx)
 
 
 class Limit(Plan):
@@ -1946,14 +1752,11 @@ class Limit(Plan):
         self.offset_fn = offset_fn
 
     def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
         limit = self.limit_fn([], ctx) if self.limit_fn else None
         offset = self.offset_fn([], ctx) if self.offset_fn else 0
         produced = 0
         skipped = 0
-        for row in self.child.rows(ctx):
+        for row in _row_source(self.child, ctx):
             if skipped < (offset or 0):
                 skipped += 1
                 continue
@@ -1961,38 +1764,6 @@ class Limit(Plan):
                 return
             produced += 1
             yield row
-
-    def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        limit = self.limit_fn([], ctx) if self.limit_fn else None
-        offset = (self.offset_fn([], ctx) if self.offset_fn else 0) or 0
-        skipped = 0
-        produced = 0
-        for batch in self.child.batches(ctx):
-            n = len(batch)
-            start = 0
-            if skipped < offset:
-                take = min(offset - skipped, n)
-                skipped += take
-                start = take
-                if start >= n:
-                    continue
-            end = n
-            if limit is not None:
-                remaining = limit - produced
-                if remaining <= 0:
-                    return
-                end = min(n, start + remaining)
-            if start == 0 and end == n:
-                out = batch
-            else:
-                out = batch.select(range(start, end))
-            produced += end - start
-            yield out
-            if limit is not None and produced >= limit:
-                return
 
 
 class DeterministicOrder(Plan):
@@ -2008,7 +1779,7 @@ class DeterministicOrder(Plan):
         self.child = child
 
     def rows(self, ctx):
-        rows = list(self.child.rows(ctx))
+        rows = list(_row_source(self.child, ctx))
         rows.sort(key=lambda row: tuple(
             (v is None, str(type(v).__name__), str(v)) for v in row[0]))
         return iter(rows)
@@ -2028,23 +1799,8 @@ class ViewPlan(Plan):
         self.inner = inner
 
     def rows(self, ctx):
-        if self.batch_size:
-            yield from self._drain(ctx)
-            return
-        for values, label, ilabel in self.inner.rows(ctx):
+        for values, label, ilabel in _row_source(self.inner, ctx):
             yield values + [label], label, ilabel
-
-    def batches(self, ctx):
-        if not self.batch_size:
-            yield from Plan.batches(self, ctx)
-            return
-        for batch in self.inner.batches(ctx):
-            # Columnar append: the label list *is* the _label column
-            # (no per-row copy; projected-away inner columns stay
-            # unmaterialized).
-            cols = batch.columns()
-            cols.append(batch.labels)
-            yield RowBatch.from_columns(cols, batch.labels, batch.ilabels)
 
 
 class PreparedSelect:
@@ -2085,10 +1841,8 @@ def _explain_line(plan: Plan) -> str:
     needed_names = getattr(plan, "needed_names", None)
     if needed_names is not None:
         line += "  cols=%s" % ",".join(needed_names)
-    # Mark batch-native execution: the stamp is tree-wide, but only
-    # operators with a batch implementation actually run vectorized
-    # (the rest adapt through the chunking shim).
-    if plan.batch_size and type(plan).batches is not Plan.batches:
+    # Batched execution: only batch-native operators are ever stamped.
+    if plan.batch_size:
         line += "  batch=%d" % plan.batch_size
     # Memory estimates for materializing operators: expected grace
     # partitions (0 omitted — the build fits work_mem) and the peak
@@ -2149,17 +1903,17 @@ def stamp_batch_size(plan: Plan, size: int) -> Plan:
     :meth:`~repro.db.optimizer.Optimizer.exec_batch_size`.  Otherwise
     the walk is estimate-driven, bottom-up: full heap scans always
     batch, index scans batch when the optimizer expects at least
-    :data:`BATCH_MIN_INDEX_ROWS` candidate rows, and interior operators
-    batch iff something beneath them does (so a one-row probe query
-    stays entirely on the original row path, paying zero batch
-    overhead).  :class:`IndexLoopJoin` adds its own floor: its batch
-    win is the per-batch probe dedup, which needs at least
-    :data:`BATCH_MIN_INDEX_ROWS` *outer* rows to amortize — below that
-    the join stays on the row path even above a batching child.
-    Mixing modes inside one tree is safe by construction:
-    every operator adapts either interface to the other.  Subquery
-    plans compiled into expression closures are stamped by their own
-    ``plan_select`` call, not this walk.
+    :data:`BATCH_MIN_INDEX_ROWS` candidate rows, and the other
+    batch-native operators (:class:`Project`, :class:`HashJoin`,
+    :class:`IndexLoopJoin`) batch iff a child does — so a one-row probe
+    query stays entirely on the row path, paying zero batch overhead.
+    :class:`IndexLoopJoin` adds its own floor: its batch win is the
+    per-batch probe dedup, which needs at least
+    :data:`BATCH_MIN_INDEX_ROWS` *outer* rows to amortize.  Row-native
+    operators are never stamped, so nothing above one is batched either
+    (it reads its batched children through :func:`_row_source`).
+    Subquery plans compiled into expression closures are stamped by
+    their own ``plan_select`` call, not this walk.
     """
     if not size:
         return plan
@@ -2179,8 +1933,10 @@ def stamp_batch_size(plan: Plan, size: int) -> Plan:
             outer_est = node.left.est_rows
             batched = child_batched and (
                 outer_est is None or outer_est >= BATCH_MIN_INDEX_ROWS)
-        else:
+        elif isinstance(node, (Project, HashJoin)):
             batched = child_batched
+        else:
+            batched = False
         node.batch_size = size if batched else 0
         return batched
 

@@ -141,12 +141,12 @@ class Planner:
         ``IndexRangeScan`` for range predicates, and stats-driven
         costing all apply), but execution pulls ``versions()`` instead
         of ``rows()``: the session needs the physical tuple versions to
-        stamp ``xmax`` and to run the write-rule equality check.
+        stamp ``xmax`` and to run the write-rule equality check.  The
+        plan is not batch-stamped: ``versions()`` runs row-at-a-time.
         """
         query = build_dml_logical(statement, self.catalog)
         self.optimizer.optimize_dml(query)
         plan = self._lower_entry(query.entry, query.scope)
-        stamp_batch_size(plan, self.batch_size)
         assignments: List[Tuple[int, Callable]] = []
         if isinstance(statement, ast.Update):
             schema = query.entry.table.schema
@@ -183,9 +183,7 @@ class Planner:
 
     def _filter(self, child: Plan, conjunct: ex.Expr,
                 compiler: ex.ExprCompiler) -> Plan:
-        plan = Filter(child, compiler.compile(conjunct),
-                      batch_predicate=ex.compile_batch(compiler, conjunct)
-                      if self.batch_size else None)
+        plan = Filter(child, compiler.compile(conjunct))
         plan.explain = "Filter (%s)" % ex.to_sql(conjunct)
         if child.est_rows is not None:
             plan.est_rows = child.est_rows * DEFAULT_SEL
@@ -357,13 +355,8 @@ class Planner:
             plan.est_spill_partitions = choice.est_spill_partitions
             return self._annotate(plan, choice.est_rows, choice.est_cost)
         residual_fn = self._conjunction(choice.residual, compiler)
-        batch_on = None
-        if self.batch_size and choice.residual:
-            batch_on = ex.compile_batch(
-                compiler, choice.residual[0] if len(choice.residual) == 1
-                else ex.And(list(choice.residual)))
         plan = NestedLoopJoin(left, right_plan, kind, residual_fn,
-                              entry.width, batch_on=batch_on)
+                              entry.width)
         plan.explain = "NestedLoopJoin (%s)%s" % (
             kind, self._filter_text(choice.residual))
         plan.est_mem = choice.est_mem

@@ -248,6 +248,59 @@ def test_explain_shows_batch_annotation_only_when_batched():
     assert not any("batch=" in line for line in lines)
 
 
+#: EXPLAIN prefixes of the row-native operators (``rows()`` only).
+ROW_NATIVE = ("Filter", "NestedLoopJoin", "Limit", "Distinct", "Sort",
+              "TopN", "Aggregate", "View ", "Subquery ")
+
+ROW_NATIVE_QUERIES = [
+    "SELECT DISTINCT grp FROM m WHERE v >= 5",
+    "SELECT grp, COUNT(*), SUM(v) FROM m GROUP BY grp",
+    "SELECT id, v FROM m ORDER BY v DESC, id",
+    "SELECT id FROM m ORDER BY v DESC, id LIMIT 7 OFFSET 3",
+    "SELECT id, v FROM m LIMIT 5 OFFSET 2",
+    "SELECT id FROM m WHERE v > (SELECT AVG(v) FROM m)",
+    "SELECT a.id, b.id FROM m a JOIN m b ON b.v < a.v WHERE a.grp = 1",
+    "SELECT id, v, _label FROM mv WHERE grp = 2",
+]
+
+
+def _row_native_or_above(lines):
+    """The EXPLAIN lines that are a row-native operator or an ancestor
+    of one (ancestry read off the two-space indentation)."""
+    marked = set()
+    path: list = []                  # (depth, line index) of ancestors
+    for i, line in enumerate(lines):
+        depth = (len(line) - len(line.lstrip(" "))) // 2
+        while path and path[-1][0] >= depth:
+            path.pop()
+        if line.strip().startswith(ROW_NATIVE):
+            marked.add(i)
+            marked.update(index for _depth, index in path)
+        path.append((depth, i))
+    return [lines[i] for i in sorted(marked)]
+
+
+@pytest.mark.parametrize("sql", ROW_NATIVE_QUERIES)
+def test_nothing_at_or_above_a_row_native_operator_is_batched(sql):
+    """Only scans, Project, HashJoin and IndexLoopJoin run batched: no
+    row-native operator carries ``batch=``, nor does anything above
+    one, while the scans below still batch.  Rows and labels equal the
+    naive executor's."""
+    _db, public, secret, _ = _stack(512)
+    _ndb, naive_public, naive_secret, _ = _stack(None, naive_plans=True)
+    for session in (public, naive_public):
+        session.execute("CREATE VIEW mv AS SELECT id, grp, v FROM m")
+    lines = [r[0] for r in secret.execute("EXPLAIN " + sql)]
+    above = _row_native_or_above(lines)
+    assert above, lines
+    assert not any("batch=" in line for line in above), lines
+    assert any("batch=512" in line for line in lines), lines
+    assert _normalized(secret, sql) == _normalized(naive_secret, sql), sql
+    if "ORDER BY" in sql:
+        assert [tuple(r) for r in secret.execute(sql).rows] \
+            == [tuple(r) for r in naive_secret.execute(sql).rows], sql
+
+
 def test_small_index_probes_stay_on_the_row_path():
     """Vectorization is estimate-driven: a primary-key probe cannot
     amortize the batch machinery, so its whole plan stays row-at-a-time
@@ -472,7 +525,8 @@ def test_predicate_free_scan_skips_row_copy_for_dml_targets():
     predicate row when there is no predicate (and with only the bare
     tuple when the predicate is label-free)."""
     db, public, secret, _ = _stack(1024)
-    # Label-free predicate UPDATE through the batched path.
+    # Label-free predicate UPDATE (DML target scans enumerate
+    # row-at-a-time at every batch size).
     count = secret.execute("UPDATE m SET v = v + 1 "
                            "WHERE grp = 1 AND id % 3 = 0").rowcount
     reference_db, _pub, secret_row, _ = _stack(0)

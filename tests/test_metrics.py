@@ -152,7 +152,10 @@ def test_stats_report_includes_all_counter_families():
 
 
 def test_last_statement_metrics_names_every_cell_group():
-    db, public, _secret, _tag, _a, _o = _fresh()
+    # Pinned batched: columns_materialized counts the batched scan's
+    # cells, whatever REPRO_BATCH_SIZE the suite runs under.
+    db, public, _secret, _tag, _a, _o = _fresh(
+        batch_size=physical.DEFAULT_BATCH_SIZE)
     public.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
     public.execute("INSERT INTO t VALUES (1, 10)")
     public.execute("SELECT * FROM t")
@@ -168,7 +171,8 @@ def test_last_statement_metrics_names_every_cell_group():
 # ---------------------------------------------------------------------------
 
 def test_slow_query_log_records_threshold_crossers_with_counters():
-    db, public, _secret, _tag, _a, _o = _fresh(slow_query_ms=1e-9)
+    db, public, _secret, _tag, _a, _o = _fresh(
+        slow_query_ms=1e-9, batch_size=physical.DEFAULT_BATCH_SIZE)
     public.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
     public.execute("INSERT INTO t VALUES (1, 10)")
     public.execute("SELECT * FROM t WHERE v = 10")

@@ -409,11 +409,11 @@ def test_mid_aggregate_error_releases_group_spill_descriptors():
     prepared = db.prepare_select(db.parse(sql), sql)
     ctx = session._context(())
     baseline = _open_fds()
-    batches = prepared.plan.batches(ctx)
-    next(batches)            # fold done, resident groups emitting
+    rows = prepared.plan.rows(ctx)    # the root is row-native
+    next(rows)               # fold done, resident groups emitting
     assert _open_fds() > baseline
     with pytest.raises(RuntimeError, match="boom"):
-        batches.throw(RuntimeError("boom"))
+        rows.throw(RuntimeError("boom"))
     assert _open_fds() == baseline
     session.rollback()
 
@@ -427,10 +427,10 @@ def test_mid_sort_error_releases_run_descriptors():
     prepared = db.prepare_select(db.parse(sql), sql)
     ctx = session._context(())
     baseline = _open_fds()
-    batches = prepared.plan.batches(ctx)
-    next(batches)            # runs spooled, merge underway
+    rows = prepared.plan.rows(ctx)    # the root is row-native
+    next(rows)               # runs spooled, merge underway
     assert _open_fds() > baseline
     with pytest.raises(RuntimeError, match="boom"):
-        batches.throw(RuntimeError("boom"))
+        rows.throw(RuntimeError("boom"))
     assert _open_fds() == baseline
     session.rollback()

@@ -4,7 +4,9 @@ the protocol-level conveniences."""
 import pytest
 
 from repro.core import IFCProcess
+from repro.db import engine as engine_mod
 from repro.errors import CatalogError, DatabaseError
+from repro.sql.parser import parse_statement
 
 
 class TestInsertSelect:
@@ -107,6 +109,44 @@ class TestResultConveniences:
         first = db.parse(sql)
         session.execute(sql, (1,))
         assert db.parse(sql) is first      # cached AST object
+
+
+class TestStatementCacheBounds:
+    """The parse and plan caches are keyed on raw SQL text: fresh
+    literals must not grow them past ``STATEMENT_CACHE_LIMIT``."""
+
+    def test_fresh_literals_stay_within_the_cap(self, db):
+        limit = engine_mod.STATEMENT_CACHE_LIMIT
+        session = db.connect()
+        session.execute("CREATE TABLE lit (a INT PRIMARY KEY, b INT)")
+        session.execute("INSERT INTO lit VALUES (1, 1)")
+        for i in range(3 * limit):
+            session.execute("SELECT b FROM lit WHERE a = %d" % i)
+            session.execute("UPDATE lit SET b = %d WHERE a = 1" % i)
+            session.execute("INSERT INTO lit VALUES (%d, 0)" % (i + 2))
+        caches = db.stats()["statement_caches"]
+        assert set(caches) == {"parse", "select", "dml", "insert"}
+        for name, report in caches.items():
+            assert report["limit"] == limit, name
+            assert report["entries"] <= limit, (name, report)
+            assert report["evictions"] >= 2 * limit, (name, report)
+        # A statement repeated after the flood still hits both caches.
+        sql = "SELECT b FROM lit WHERE a = 1"
+        statement = db.parse(sql)
+        prepared = db.prepare_select(statement, sql)
+        assert db.parse(sql) is statement
+        assert db.prepare_select(statement, sql) is prepared
+        assert session.execute(sql).rows[0][0] == 3 * limit - 1
+
+    def test_reparsed_statement_misses_instead_of_aliasing(self, db):
+        session = db.connect()
+        session.execute("CREATE TABLE lit (a INT PRIMARY KEY, b INT)")
+        sql = "SELECT b FROM lit WHERE a = 1"
+        prepared = db.prepare_select(db.parse(sql), sql)
+        # Same SQL text, but a different statement object (as after a
+        # parse-cache eviction): the plan cache must re-plan it.
+        reparsed = parse_statement(sql)
+        assert db.prepare_select(reparsed, sql) is not prepared
 
 
 class TestFunctionsRegisteredByApps:
